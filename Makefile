@@ -1,11 +1,18 @@
 GO ?= go
 
-.PHONY: check vet build lint test test-race chaos pool-guard fuzz-smoke bench bench-smoke bench-pml bench-coll bench-udp smoke-udp figures
+.PHONY: check fmt vet build lint test test-race chaos pool-guard fuzz-smoke bench bench-smoke bench-udp smoke-udp figures
 
-# check is the repo's verification gate: vet, build, the gompilint suite,
-# the full test suite under the race detector, the debug-build arena
+# check is the repo's verification gate: gofmt, vet, build, the gompilint
+# suite, the full test suite under the race detector, the debug-build arena
 # guard, and a short fixed-budget run of the packet-decoder fuzz targets.
-check: vet build lint test-race pool-guard fuzz-smoke
+check: fmt vet build lint test-race pool-guard fuzz-smoke
+
+# fmt fails when any Go file in the tree (outside dot-directories such as
+# the benchmark's .bench_build/) is not gofmt-formatted, listing the
+# offenders.
+fmt:
+	@out=$$(find . -name '*.go' -not -path './.*' -exec gofmt -l {} +); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -56,16 +63,6 @@ bench:
 # that the measurement harnesses still execute end to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAblation' -benchtime=1x ./...
-
-# bench-pml regenerates the machine-readable PML matching-engine ablation
-# (list vs bucket, pairs and incast shapes) quoted by EXPERIMENTS.md.
-bench-pml:
-	$(GO) run ./cmd/pmlbench -out BENCH_pml.json
-
-# bench-coll regenerates the persistent-collective ablation (setup-once
-# Start/Wait vs full per-call dispatch) quoted by EXPERIMENTS.md.
-bench-coll:
-	$(GO) run ./cmd/collbench -out BENCH_coll.json
 
 # bench-udp regenerates the simnet-vs-udp transport comparison quoted by
 # EXPERIMENTS.md: the same OSU kernels over the simulated fabric and over

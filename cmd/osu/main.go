@@ -67,7 +67,6 @@ func main() {
 	transport := flag.String("transport", "sim", "transport: sim (simulated fabric) or udp (forced udp BTL over loopback sockets)")
 	jsonPath := flag.String("json", "", "append one JSON record of the results to this file")
 	collSpec := flag.String("coll", "", "collective component selection (e.g. \"^hier\" or \"basic\")")
-	matcher := flag.String("matcher", "", "PML matching engine: \"bucket\" (default) or \"list\" (single-lock ablation engine)")
 	mtComms := flag.Int("mt-comms", 1, "latency_mt: dup'd communicators round-robined across threads")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -112,7 +111,7 @@ func main() {
 	if *sessions {
 		mode = core.CIDExtended
 	}
-	cfg := core.Config{CIDMode: mode, Coll: *collSpec, PMLMatcher: *matcher}
+	cfg := core.Config{CIDMode: mode, Coll: *collSpec}
 	switch *transport {
 	case "sim":
 	case "udp":

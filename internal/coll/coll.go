@@ -10,14 +10,14 @@
 //	hier   hierarchical (node-leader) variants: intra-node phases ride the
 //	       sm BTL fast path, only node leaders exchange over the fabric
 //
-// Since the schedule refactor, an algorithm is an *emitter*: it compiles
-// the collective for one rank into a Schedule — a DAG of typed steps with
-// explicit dependencies (schedule.go) — and the executors in engine.go run
-// it, either sequentially over the blocking Transport or concurrently over
-// an NBTransport. Modules cache compiled schedules per call shape, and
-// Prepare* returns a fully bound Exec (schedule + staging + engine state)
-// that can be run many times with zero per-run allocation — the substrate
-// of the mpi persistent collectives.
+// An algorithm is an *emitter*: it compiles the collective for one rank
+// into a Schedule — a DAG of typed steps with explicit dependencies
+// (schedule.go) — and the engine in engine.go runs it over the nonblocking
+// Transport, issuing every step whose dependencies are met. Modules cache
+// compiled schedules per call shape, and Prepare* returns a fully bound
+// Exec (schedule + staging + engine state) that can be run many times with
+// zero per-run allocation — the substrate of the mpi persistent
+// collectives.
 //
 // The package is transport-agnostic: schedules move bytes through the
 // Transport interface (implemented by mpi.Comm over the PML), so they can
@@ -38,13 +38,14 @@ import (
 
 // Transport moves bytes between the members of one communicator. Ranks are
 // communicator ranks. Implementations must provide MPI point-to-point
-// semantics: per-(peer, tag) ordering and blocking completion.
+// semantics — per-(peer, tag) ordering — and start operations without
+// blocking, returning a Req to complete them. mpi.Comm implements it over
+// the PML; the in-memory mesh in the package tests implements it directly.
 type Transport interface {
 	Rank() int
 	Size() int
-	Send(buf []byte, dest, tag int) error
-	Recv(buf []byte, src, tag int) error
-	Sendrecv(sendBuf []byte, dest int, recvBuf []byte, src, tag int) error
+	Isend(buf []byte, dest, tag int) (Req, error)
+	Irecv(buf []byte, src, tag int) (Req, error)
 }
 
 // ReduceFunc combines count elements: inout[i] = f(inout[i], in[i]).
@@ -205,9 +206,8 @@ type component struct {
 // chain plus per-algorithm invocation counters. One Framework serves every
 // communicator of an instance cycle.
 type Framework struct {
-	comps  []component
-	trace  *opal.Trace // may be nil (tracing disabled at the source)
-	direct bool        // run schedules through the sequential reference executor
+	comps []component
+	trace *opal.Trace // may be nil (tracing disabled at the source)
 
 	persistentStarts atomic.Uint64
 	cacheHits        atomic.Uint64
@@ -238,23 +238,6 @@ func NewFramework(names []string, trace *opal.Trace) (*Framework, error) {
 		return nil, fmt.Errorf("coll: empty component chain")
 	}
 	return f, nil
-}
-
-// SetExecMode selects the schedule executor: "" or "schedule" is the DAG
-// engine over the nonblocking transport (the default), "direct" (alias
-// "legacy") is the sequential reference executor that reproduces the
-// pre-schedule blocking behavior — the A/B knob, mirroring the PML's
-// Matcher="list". Call before the framework serves traffic.
-func (f *Framework) SetExecMode(mode string) error {
-	switch mode {
-	case "", "schedule":
-		f.direct = false
-	case "direct", "legacy":
-		f.direct = true
-	default:
-		return fmt.Errorf("coll: unknown exec mode %q (want schedule or direct)", mode)
-	}
-	return nil
 }
 
 // Components returns the selected component names in priority order.
@@ -314,8 +297,7 @@ type schedKey struct {
 type Module struct {
 	f    *Framework
 	env  Env
-	nb   NBTransport // non-nil when the transport has the nonblocking seam
-	comm string      // communicator name, for the trace
+	comm string // communicator name, for the trace
 
 	mu    sync.Mutex
 	hints map[Op]string
@@ -326,9 +308,8 @@ type Module struct {
 // hosting communicator rank i (nil when unknown); comm names the
 // communicator in trace events.
 func (f *Framework) NewModule(t Transport, nodes []int, comm string) *Module {
-	nb, _ := t.(NBTransport)
 	return &Module{
-		f: f, env: Env{T: t, Nodes: nodes}, nb: nb, comm: comm,
+		f: f, env: Env{T: t, Nodes: nodes}, comm: comm,
 		hints: make(map[Op]string),
 		cache: make(map[schedKey]*Schedule),
 	}
@@ -452,10 +433,7 @@ func (m *Module) schedule(key schedKey) (*Schedule, error) {
 
 // execute runs a one-shot schedule with freshly allocated state.
 func (m *Module) execute(s *Schedule, bind *binding) error {
-	if m.nb == nil || m.f.direct {
-		return runDirect(m.env.T, s, bind)
-	}
-	return run(m.nb, s, bind, newExecState(s))
+	return run(m.env.T, s, bind, newExecState(s))
 }
 
 // dispatch compiles (or fetches) the schedule for one call, records it,
@@ -602,8 +580,5 @@ func (e *Exec) Steps() int { return e.s.Steps() }
 func (e *Exec) Run() error {
 	e.m.f.persistentStarts.Add(1)
 	e.m.f.stepsRun[e.op].Add(uint64(len(e.s.steps)))
-	if e.m.nb == nil || e.m.f.direct {
-		return runDirect(e.m.env.T, e.s, &e.bind)
-	}
-	return run(e.m.nb, e.s, &e.bind, e.x)
+	return run(e.m.env.T, e.s, &e.bind, e.x)
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // memNet is an in-memory full mesh with MPI point-to-point semantics:
-// per-(src, dst) FIFO ordering and blocking recv. It has no nonblocking
-// seam, so it exercises the direct (sequential reference) executor; the
-// NBMesh in ablation.go exercises the DAG engine.
+// per-(src, dst) FIFO ordering, buffered sends, and blocking recv. It is the
+// transport of the sequential oracle (runDirect); the nbMesh in
+// mesh_test.go carries the DAG engine.
 type memMsg struct {
 	tag  int
 	data []byte
@@ -64,22 +64,64 @@ func (m memT) Sendrecv(sendBuf []byte, dest int, recvBuf []byte, src, tag int) e
 	return m.Recv(recvBuf, src, tag)
 }
 
+// runDirect is the sequential oracle: it walks the schedule's steps in
+// emission order with blocking calls. Emission order is a valid sequential
+// execution (deps always point backwards), so this reproduces the
+// pre-schedule blocking algorithms exactly and checks the engine's
+// dependency-driven overlap against them.
+func runDirect(t memT, s *Schedule, bind *binding) error {
+	for i := range s.steps {
+		st := &s.steps[i]
+		switch st.kind {
+		case stepSend:
+			if err := t.Send(bind.resolve(st.a), st.peer, bind.baseTag-st.tagOff); err != nil {
+				return err
+			}
+		case stepRecv:
+			if err := t.Recv(bind.resolve(st.a), st.peer, bind.baseTag-st.tagOff); err != nil {
+				return err
+			}
+		case stepSendrecv:
+			if err := t.Sendrecv(bind.resolve(st.a), st.peer, bind.resolve(st.b), st.peer2, bind.baseTag-st.tagOff); err != nil {
+				return err
+			}
+		case stepReduce:
+			if err := bind.rf(bind.resolve(st.a), bind.resolve(st.b), st.count); err != nil {
+				return err
+			}
+		case stepCopy:
+			copy(bind.resolve(st.a), bind.resolve(st.b))
+		}
+	}
+	return nil
+}
+
 // execModes names the two schedule executors every algorithm test runs
-// under: the sequential reference and the DAG engine.
-var execModes = []string{"direct", "engine"}
+// under: the sequential oracle and the DAG engine.
+var execModes = []string{"oracle", "engine"}
+
+// rankEnv is one rank's view in the algorithm tests: its transport (memT
+// under the oracle, *nbMeshRank under the engine) and the placement map.
+type rankEnv struct {
+	T interface {
+		Rank() int
+		Size() int
+	}
+	Nodes []int
+}
 
 // runRanks runs fn once per rank over a fresh mesh — buffered-channel memT
-// for the direct executor, NBMesh for the engine — and fails on any error.
-func runRanks(t *testing.T, mode string, size int, nodes []int, fn func(e Env) error) {
+// for the oracle, nbMesh for the engine — and fails on any error.
+func runRanks(t *testing.T, mode string, size int, nodes []int, fn func(e rankEnv) error) {
 	t.Helper()
-	var transport func(r int) Transport
+	var envOf func(r int) rankEnv
 	switch mode {
-	case "direct":
+	case "oracle":
 		net := newMemNet(size)
-		transport = func(r int) Transport { return memT{net: net, rank: r} }
+		envOf = func(r int) rankEnv { return rankEnv{T: memT{net: net, rank: r}, Nodes: nodes} }
 	case "engine":
-		mesh := NewNBMesh(size)
-		transport = func(r int) Transport { return mesh.Rank(r) }
+		mesh := newNBMesh(size)
+		envOf = func(r int) rankEnv { return rankEnv{T: mesh.Rank(r), Nodes: nodes} }
 	default:
 		t.Fatalf("unknown exec mode %q", mode)
 	}
@@ -89,7 +131,7 @@ func runRanks(t *testing.T, mode string, size int, nodes []int, fn func(e Env) e
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			errs[r] = fn(Env{T: transport(r), Nodes: nodes})
+			errs[r] = fn(envOf(r))
 		}(r)
 	}
 	wg.Wait()
@@ -103,7 +145,7 @@ func runRanks(t *testing.T, mode string, size int, nodes []int, fn func(e Env) e
 // runOp compiles the schedule for one call shape on this rank and executes
 // it under the selected executor — the per-rank body of every algorithm
 // test. Algorithms run exclusively through emitted schedules.
-func runOp(e Env, mode string, key schedKey, bind binding) error {
+func runOp(e rankEnv, mode string, key schedKey, bind binding) error {
 	sh := Shape{Rank: e.T.Rank(), Size: e.T.Size(), Nodes: e.Nodes}
 	b := newBuilder()
 	if err := emitFor(b, sh, key); err != nil {
@@ -115,9 +157,9 @@ func runOp(e Env, mode string, key schedKey, bind binding) error {
 	}
 	bind.stage = make([]byte, s.stage)
 	if mode == "engine" {
-		return run(e.T.(NBTransport), s, &bind, newExecState(s))
+		return run(e.T.(Transport), s, &bind, newExecState(s))
 	}
-	return runDirect(e.T, s, &bind)
+	return runDirect(e.T.(memT), s, &bind)
 }
 
 // nodeMaps yields placement maps to exercise: unknown placement, a single
@@ -188,7 +230,7 @@ func TestBarrierAlgorithms(t *testing.T) {
 		for _, algo := range Algorithms(Barrier) {
 			for _, size := range testSizes {
 				for _, nodes := range nodeMaps(size) {
-					runRanks(t, mode, size, nodes, func(e Env) error {
+					runRanks(t, mode, size, nodes, func(e rankEnv) error {
 						return runOp(e, mode, schedKey{op: Barrier, algo: algo}, binding{baseTag: -16})
 					})
 				}
@@ -213,7 +255,7 @@ func TestBcastAlgorithms(t *testing.T) {
 									bufs[r] = make([]byte, n)
 								}
 							}
-							runRanks(t, mode, size, nodes, func(e Env) error {
+							runRanks(t, mode, size, nodes, func(e rankEnv) error {
 								return runOp(e, mode,
 									schedKey{op: Bcast, algo: algo, bytes: n, root: root},
 									binding{recv: bufs[e.T.Rank()], baseTag: -16})
@@ -252,7 +294,7 @@ func TestReduceAlgorithms(t *testing.T) {
 							for r := range recv {
 								recv[r] = make([]byte, count*tc.elt)
 							}
-							runRanks(t, mode, size, nil, func(e Env) error {
+							runRanks(t, mode, size, nil, func(e rankEnv) error {
 								r := e.T.Rank()
 								return runOp(e, mode,
 									schedKey{op: Reduce, algo: algo, count: count, elt: tc.elt, root: root},
@@ -294,7 +336,7 @@ func TestAllreduceAlgorithms(t *testing.T) {
 							for r := range recv {
 								recv[r] = make([]byte, count*tc.elt)
 							}
-							runRanks(t, mode, size, nodes, func(e Env) error {
+							runRanks(t, mode, size, nodes, func(e rankEnv) error {
 								r := e.T.Rank()
 								return runOp(e, mode,
 									schedKey{op: Allreduce, algo: algo, count: count, elt: tc.elt},
@@ -326,7 +368,7 @@ func TestAllgatherAlgorithms(t *testing.T) {
 					for r := range recv {
 						recv[r] = make([]byte, size*blk)
 					}
-					runRanks(t, mode, size, nil, func(e Env) error {
+					runRanks(t, mode, size, nil, func(e rankEnv) error {
 						r := e.T.Rank()
 						return runOp(e, mode,
 							schedKey{op: Allgather, algo: algo, bytes: blk},
@@ -360,7 +402,7 @@ func TestAlltoallAlgorithms(t *testing.T) {
 					for r := range recv {
 						recv[r] = make([]byte, size*blk)
 					}
-					runRanks(t, mode, size, nil, func(e Env) error {
+					runRanks(t, mode, size, nil, func(e rankEnv) error {
 						r := e.T.Rank()
 						return runOp(e, mode,
 							schedKey{op: Alltoall, algo: algo, bytes: blk},
@@ -381,10 +423,10 @@ func TestAlltoallAlgorithms(t *testing.T) {
 	}
 }
 
-// TestScheduleEquivalence is the A/B property: for every allreduce and
-// bcast algorithm, the DAG engine's output is byte-identical to the
-// sequential reference executor's (which reproduces the pre-schedule
-// blocking path step for step).
+// TestScheduleEquivalence is the engine-vs-oracle property: for every
+// allreduce algorithm, the DAG engine's output is byte-identical to the
+// sequential oracle's (which reproduces the pre-schedule blocking path step
+// for step).
 func TestScheduleEquivalence(t *testing.T) {
 	type result struct{ bufs [][]byte }
 	collect := func(mode string, op Op, algo string, size, count, elt int, rf ReduceFunc) [][]byte {
@@ -393,7 +435,7 @@ func TestScheduleEquivalence(t *testing.T) {
 		for r := range recv {
 			recv[r] = make([]byte, count*elt)
 		}
-		runRanks(t, mode, size, nil, func(e Env) error {
+		runRanks(t, mode, size, nil, func(e rankEnv) error {
 			r := e.T.Rank()
 			return runOp(e, mode,
 				schedKey{op: op, algo: algo, count: count, elt: elt},
@@ -404,11 +446,11 @@ func TestScheduleEquivalence(t *testing.T) {
 	for _, algo := range Algorithms(Allreduce) {
 		for _, size := range []int{1, 5, 8, 13} {
 			for _, count := range []int{1, 700} {
-				direct := result{collect("direct", Allreduce, algo, size, count, 8, sumI64)}
+				oracle := result{collect("oracle", Allreduce, algo, size, count, 8, sumI64)}
 				engine := result{collect("engine", Allreduce, algo, size, count, 8, sumI64)}
 				for r := 0; r < size; r++ {
-					if !bytes.Equal(direct.bufs[r], engine.bufs[r]) {
-						t.Fatalf("allreduce/%s size=%d count=%d rank=%d: engine diverges from direct reference", algo, size, count, r)
+					if !bytes.Equal(oracle.bufs[r], engine.bufs[r]) {
+						t.Fatalf("allreduce/%s size=%d count=%d rank=%d: engine diverges from the sequential oracle", algo, size, count, r)
 					}
 				}
 			}
@@ -417,8 +459,8 @@ func TestScheduleEquivalence(t *testing.T) {
 }
 
 // TestModuleDispatch drives the full pick→schedule→record→execute path
-// through a Module on the blocking in-memory mesh (direct fallback) and
-// checks the counters, including the per-op step counts.
+// through a Module on the in-memory mesh and checks the counters, including
+// the per-op step counts.
 func TestModuleDispatch(t *testing.T) {
 	fw, err := NewFramework([]string{"hier", "tuned", "basic"}, nil)
 	if err != nil {
@@ -426,14 +468,14 @@ func TestModuleDispatch(t *testing.T) {
 	}
 	size := 6
 	nodes := []int{0, 0, 0, 1, 1, 1}
-	net := newMemNet(size)
+	mesh := newNBMesh(size)
 	errs := make([]error, size)
 	var wg sync.WaitGroup
 	for r := 0; r < size; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			m := fw.NewModule(memT{net: net, rank: r}, nodes, "test")
+			m := fw.NewModule(mesh.Rank(r), nodes, "test")
 			if errs[r] = m.Barrier(-16); errs[r] != nil {
 				return
 			}
@@ -473,7 +515,7 @@ func TestModuleScheduleCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := 4
-	mesh := NewNBMesh(size)
+	mesh := newNBMesh(size)
 	const iters = 5
 	var wg sync.WaitGroup
 	errs := make([]error, size)
@@ -515,7 +557,7 @@ func TestPersistentExec(t *testing.T) {
 	}
 	size := 5
 	const iters = 4
-	mesh := NewNBMesh(size)
+	mesh := newNBMesh(size)
 	count := 16
 	input := func(r int) []byte { return rankInput(r, count, 8) }
 	want := refFold(t, sumI64, size, 0, count, 8, input)
@@ -554,21 +596,5 @@ func TestPersistentExec(t *testing.T) {
 	snap := fw.Snapshot()
 	if got, want := snap["persistent_starts"], uint64(size*iters); got != want {
 		t.Fatalf("persistent_starts = %d, want %d", got, want)
-	}
-}
-
-// TestExecModeKnob checks the A/B executor switch parses and falls back.
-func TestExecModeKnob(t *testing.T) {
-	fw, err := NewFramework([]string{"basic"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []string{"", "schedule", "direct", "legacy"} {
-		if err := fw.SetExecMode(mode); err != nil {
-			t.Fatalf("SetExecMode(%q): %v", mode, err)
-		}
-	}
-	if err := fw.SetExecMode("bogus"); err == nil {
-		t.Fatal("SetExecMode(bogus) should error")
 	}
 }

@@ -87,7 +87,7 @@ func TestModuleHints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := fw.NewModule(memT{net: newMemNet(1), rank: 0}, nil, "c")
+	m := fw.NewModule(newNBMesh(1).Rank(0), nil, "c")
 	if err := m.SetHint(Allreduce, "nope"); err == nil ||
 		!strings.Contains(err.Error(), "has no algorithm") {
 		t.Fatalf("unknown hint: err = %v", err)
@@ -117,7 +117,7 @@ func TestPickFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := fw.NewModule(memT{net: newMemNet(1), rank: 0}, nil, "c")
+	m := fw.NewModule(newNBMesh(1).Rank(0), nil, "c")
 	comp, algo := m.pick(Reduce, 8, true)
 	if comp != "fallback" || !knownAlgorithm(Reduce, algo) {
 		t.Fatalf("pure-hier reduce: %s/%s", comp, algo)

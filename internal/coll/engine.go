@@ -2,17 +2,11 @@ package coll
 
 import "runtime"
 
-// Schedule executors. Two interchangeable ways to run a compiled schedule:
-//
-//   - runDirect walks the steps in emission order with blocking transport
-//     calls. Emission order is a valid sequential execution (deps always
-//     point backwards), so this path reproduces the pre-schedule blocking
-//     algorithms exactly. It is the A/B reference (Config "coll_exec=direct")
-//     and the fallback when the transport has no nonblocking seam.
-//   - run (the engine) executes the DAG over a nonblocking transport:
-//     every step whose dependencies have completed is issued immediately,
-//     so independent exchanges overlap. This is the default path and the
-//     one the persistent collectives reuse with preallocated state.
+// The schedule engine. run executes a compiled schedule's DAG over the
+// nonblocking Transport: every step whose dependencies have completed is
+// issued immediately, so independent exchanges overlap. One-shot
+// collectives run it with fresh state; persistent collectives reuse
+// preallocated state so every round is allocation-free.
 
 // Req is the completion handle of a nonblocking transport operation. Once
 // Wait returns or Test reports done, the handle is spent: the engine drops
@@ -23,44 +17,6 @@ type Req interface {
 	Wait() error
 	// Test polls for completion.
 	Test() (bool, error)
-}
-
-// NBTransport is a Transport that can also start operations without
-// blocking — the seam the schedule engine drives. mpi.Comm implements it
-// over the PML; the in-memory meshes in tests and benchmarks implement it
-// directly.
-type NBTransport interface {
-	Transport
-	Isend(buf []byte, dest, tag int) (Req, error)
-	Irecv(buf []byte, src, tag int) (Req, error)
-}
-
-// runDirect executes the schedule sequentially with blocking calls.
-func runDirect(t Transport, s *Schedule, bind *binding) error {
-	for i := range s.steps {
-		st := &s.steps[i]
-		switch st.kind {
-		case stepSend:
-			if err := t.Send(bind.resolve(st.a), st.peer, bind.baseTag-st.tagOff); err != nil {
-				return err
-			}
-		case stepRecv:
-			if err := t.Recv(bind.resolve(st.a), st.peer, bind.baseTag-st.tagOff); err != nil {
-				return err
-			}
-		case stepSendrecv:
-			if err := t.Sendrecv(bind.resolve(st.a), st.peer, bind.resolve(st.b), st.peer2, bind.baseTag-st.tagOff); err != nil {
-				return err
-			}
-		case stepReduce:
-			if err := bind.rf(bind.resolve(st.a), bind.resolve(st.b), st.count); err != nil {
-				return err
-			}
-		case stepCopy:
-			copy(bind.resolve(st.a), bind.resolve(st.b))
-		}
-	}
-	return nil
 }
 
 // execState is the engine's mutable per-run state, separated from the
@@ -113,7 +69,7 @@ func (x *execState) reset(s *Schedule) {
 // a capacity bug TestPersistentCollStartAllocs would catch).
 //
 //gompilint:noalloc
-func run(t NBTransport, s *Schedule, bind *binding, x *execState) error {
+func run(t Transport, s *Schedule, bind *binding, x *execState) error {
 	x.reset(s)
 	completed := 0
 	total := len(s.steps)
@@ -128,12 +84,11 @@ func run(t NBTransport, s *Schedule, bind *binding, x *execState) error {
 		}
 	}
 
-	// On error, return immediately — the exact semantics of the blocking
-	// path. Outstanding requests are abandoned rather than drained: after a
-	// peer failure a matching message may never arrive, so draining could
-	// hang, and the PML completes poisoned requests on its own. A schedule
-	// that errored must be reset (run again) or freed, never trusted to have
-	// written its buffers.
+	// On error, return immediately. Outstanding requests are abandoned
+	// rather than drained: after a peer failure a matching message may
+	// never arrive, so draining could hang, and the PML completes poisoned
+	// requests on its own. A schedule that errored must be reset (run
+	// again) or freed, never trusted to have written its buffers.
 	for completed < total {
 		// Issue everything that is ready.
 		for len(x.ready) > 0 {

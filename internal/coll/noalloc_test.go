@@ -11,7 +11,7 @@ import "testing"
 // time; a regression here means someone put an allocation back on the
 // per-round path.
 func TestPersistentCollStartAllocs(t *testing.T) {
-	cb, err := NewCollBench(8, 128, true)
+	cb, err := newCollBench(8, 128, true)
 	if err != nil {
 		t.Fatal(err)
 	}

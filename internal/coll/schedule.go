@@ -63,8 +63,8 @@ func (k stepKind) String() string {
 // step is one node of the DAG. deps always point at earlier steps: the
 // builder appends steps in a valid sequential order, so executing steps in
 // index order with blocking transport calls is always correct (the
-// "direct" A/B executor), while the engine exploits the explicit deps for
-// overlap.
+// sequential oracle in the package tests), while the engine exploits the
+// explicit deps for overlap.
 type step struct {
 	kind   stepKind
 	peer   int // send dest / recv src / sendrecv dest

@@ -108,21 +108,10 @@ type Config struct {
 	// basic), "^hier" disables the topology-aware variants, "basic" pins
 	// the simple fixed algorithms.
 	Coll string
-	// CollExec selects the collective schedule executor: "" or "schedule"
-	// runs compiled schedules through the DAG engine over nonblocking
-	// sends; "direct" (alias "legacy") walks every schedule sequentially
-	// with blocking calls, byte-for-byte reproducing the pre-schedule
-	// dispatch path — kept for A/B property tests and ablation.
-	CollExec string
 	// EagerLimit is the PML eager/rendezvous threshold. Zero defers to each
 	// transport's own limit (sm advertises a much larger one than net); a
 	// positive value overrides every transport.
 	EagerLimit int
-	// PMLMatcher selects the ob1 matching engine: "" or "bucket" for the
-	// fine-grained per-channel engine with per-source buckets and pooled
-	// packet buffers (DESIGN.md §5b), "list" for the original single-lock
-	// linear-scan engine kept for ablation (cmd/pmlbench, osu -matcher).
-	PMLMatcher string
 	// DupUseSubfields, when set, lets Comm.Dup derive the child exCID from
 	// the parent's subfields (§III-B3) instead of acquiring a fresh PGCID
 	// on every duplication as the measured prototype did (§IV-C2). Off by
@@ -385,9 +374,6 @@ func (inst *Instance) initColl() (func(), error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fw.SetExecMode(inst.deps.Cfg.CollExec); err != nil {
-		return nil, err
-	}
 	inst.mu.Lock()
 	inst.collFw = fw
 	inst.mu.Unlock()
@@ -470,7 +456,7 @@ func (inst *Instance) initPML() (func(), error) {
 	// NewEngine activates the modules — in particular sm registers its
 	// node-segment mailbox — before the address is published, so any peer
 	// that can resolve us is guaranteed to find the mailbox.
-	engine := pml.NewEngine(mods, pml.Config{EagerLimit: inst.deps.Cfg.EagerLimit, Trace: inst.trace, Matcher: inst.deps.Cfg.PMLMatcher})
+	engine := pml.NewEngine(mods, pml.Config{EagerLimit: inst.deps.Cfg.EagerLimit, Trace: inst.trace})
 	closeAll := func() {
 		engine.Close()
 		if !netUsed {

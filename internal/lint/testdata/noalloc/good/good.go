@@ -12,9 +12,9 @@ type ring struct {
 
 //gompilint:noalloc
 func hotLocals(r *ring, v int) int {
-	p := point{v, v}    // composite built into a local stays on the stack
-	r.buf = append(r.buf, p.x) // self-append ring idiom
-	r.done <- struct{}{} // zero-sized value: nothing to box
+	p := point{v, v}               // composite built into a local stays on the stack
+	r.buf = append(r.buf, p.x)     // self-append ring idiom
+	r.done <- struct{}{}           // zero-sized value: nothing to box
 	f := func() int { return p.y } // local closure, never escapes
 	return f()
 }

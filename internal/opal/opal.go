@@ -53,6 +53,11 @@ type Registry struct {
 	subsystems map[string]*subsystem
 	cleanups   []cleanupEntry
 	generation int // increments every time a full cleanup runs
+	// finalizing is non-nil while a finished cycle's cleanups run outside
+	// mu, and is closed when they return. A new cycle's Acquire waits on it:
+	// re-initializing a subsystem before its stale cleanup has run would
+	// let that cleanup tear down the fresh instance.
+	finalizing chan struct{}
 }
 
 // NewRegistry returns an empty registry.
@@ -65,9 +70,15 @@ func NewRegistry() *Registry {
 // init cycle. Concurrent first acquisitions are serialized: later callers
 // wait for the in-flight initialization and share its outcome. A failed
 // initialization leaves the subsystem idle so a future Acquire can retry.
+// An Acquire that races a cleanup waits for the cleanup to finish.
 func (r *Registry) Acquire(name string, init InitFunc) error {
 	for {
 		r.mu.Lock()
+		if fin := r.finalizing; fin != nil {
+			r.mu.Unlock()
+			<-fin
+			continue
+		}
 		s := r.subsystems[name]
 		if s == nil {
 			s = &subsystem{name: name}
@@ -155,26 +166,41 @@ func (r *Registry) idleLocked() bool {
 
 // CleanupIfIdle runs all registered cleanup callbacks in LIFO order if no
 // subsystem is referenced, then resets the registry so subsystems can be
-// initialized again. It reports whether cleanup ran.
+// initialized again. It reports whether cleanup ran; a call that finds
+// another cleanup still running leaves it to that one and reports false.
 func (r *Registry) CleanupIfIdle() bool {
 	r.mu.Lock()
-	if !r.idleLocked() {
+	if r.finalizing != nil || !r.idleLocked() {
 		r.mu.Unlock()
 		return false
 	}
-	entries := r.cleanups
-	r.cleanups = nil
 	for _, s := range r.subsystems {
 		s.state = subsysIdle
 		s.done = nil
 	}
 	r.generation++
+	r.unlockAndRunCleanups()
+	return true
+}
+
+// unlockAndRunCleanups is called with mu held. It takes the cycle's
+// cleanups, releases mu, and runs them in LIFO order, holding off every
+// Acquire until they have returned.
+func (r *Registry) unlockAndRunCleanups() {
+	entries := r.cleanups
+	r.cleanups = nil
+	fin := make(chan struct{})
+	r.finalizing = fin
 	r.mu.Unlock()
 
 	for i := len(entries) - 1; i >= 0; i-- {
 		entries[i].fn()
 	}
-	return true
+
+	r.mu.Lock()
+	r.finalizing = nil
+	r.mu.Unlock()
+	close(fin)
 }
 
 // ForceReset abandons the current init cycle regardless of reference
@@ -189,18 +215,12 @@ func (r *Registry) CleanupIfIdle() bool {
 // concurrent Acquire/Release is in flight.
 func (r *Registry) ForceReset() {
 	r.mu.Lock()
-	entries := r.cleanups
-	r.cleanups = nil
 	for _, s := range r.subsystems {
 		s.state = subsysIdle
 		s.refs = 0
 		s.done = nil
 	}
-	r.mu.Unlock()
-
-	for i := len(entries) - 1; i >= 0; i-- {
-		entries[i].fn()
-	}
+	r.unlockAndRunCleanups()
 }
 
 // Generation returns how many full cleanup cycles have completed; tests use

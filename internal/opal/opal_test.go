@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestAcquireInitOnce(t *testing.T) {
@@ -166,6 +167,53 @@ func TestConcurrentAcquire(t *testing.T) {
 	}
 	if got := r.Refs("shared"); got != 32 {
 		t.Fatalf("refs = %d, want 32", got)
+	}
+}
+
+// TestAcquireWaitsForCleanup pins the cycle boundary: an Acquire that
+// arrives while CleanupIfIdle is still running the finished cycle's
+// cleanups must not re-initialize the subsystem until they have returned,
+// or the stale cleanup would tear down the fresh instance. The cleanup is
+// held open until a timer releases it, so an Acquire that does not wait
+// runs its init while the cleanup is still blocked.
+func TestAcquireWaitsForCleanup(t *testing.T) {
+	r := NewRegistry()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var cleanupReturned atomic.Bool
+	if err := r.Acquire("pmix", func() (func(), error) {
+		return func() {
+			close(started)
+			<-release
+			cleanupReturned.Store(true)
+		}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Release("pmix"); err != nil {
+		t.Fatal(err)
+	}
+	cleaned := make(chan bool)
+	go func() { cleaned <- r.CleanupIfIdle() }()
+	<-started
+
+	timer := time.AfterFunc(50*time.Millisecond, func() { close(release) })
+	defer timer.Stop()
+	initRanEarly := false
+	if err := r.Acquire("pmix", func() (func(), error) {
+		initRanEarly = !cleanupReturned.Load()
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if initRanEarly {
+		t.Fatal("Acquire re-ran init before the previous cycle's cleanup returned")
+	}
+	if !<-cleaned {
+		t.Fatal("CleanupIfIdle did not run")
+	}
+	if r.Generation() != 1 {
+		t.Fatalf("generation = %d, want 1", r.Generation())
 	}
 }
 

@@ -209,8 +209,10 @@ func MBwMr(comm *mpi.Comm, sizes []int, window, iters, skip int, sync SyncMode) 
 		}
 		if sync == SyncSendrecv {
 			// Paper's modification: synchronize each pair directly, which
-			// completes the exCID handshake before timing.
-			if _, err := comm.Sendrecv(ack, partner, 900, ack, partner, 900); err != nil {
+			// completes the exCID handshake before timing. The send and
+			// receive buffers must not alias: the partner's reply may land
+			// while this rank's send is still reading its buffer.
+			if _, err := comm.Sendrecv(ack, partner, 900, make([]byte, len(ack)), partner, 900); err != nil {
 				return nil, err
 			}
 		}

@@ -26,13 +26,6 @@ type Config struct {
 	// Trace, when non-nil, receives "btl" layer events for route selection:
 	// which module carries each peer, and which modules declined it.
 	Trace *opal.Trace
-	// Matcher selects the matching-engine implementation. "" or "bucket"
-	// (the default) is the fine-grained engine: per-channel locks, bucketed
-	// O(1) (src, tag) matching, and pooled packet/record allocation.
-	// "list" (alias "legacy") is the original engine discipline — one
-	// engine-wide lock, linear queue scans, a fresh allocation per packet —
-	// kept as the BenchmarkAblationPML baseline.
-	Matcher string
 }
 
 // Stats counts messages by header kind, used by tests and by the Fig. 5c
@@ -93,7 +86,6 @@ type Engine struct {
 	btls     []btl.Module // in MCA priority order
 	cfgEager int          // explicit override; 0 = per-module default
 	trace    *opal.Trace  // may be nil (tracing disabled)
-	legacy   bool         // Config.Matcher "list": single shared lock, no pooling
 
 	closed  atomic.Bool
 	nextReq atomic.Uint64
@@ -103,7 +95,7 @@ type Engine struct {
 	// packet path reads them without taking regMu; writers (and the
 	// lookup-miss path that buffers orphans) serialize on regMu, which
 	// closes the "packet races AddChannel" window.
-	regMu     sync.Mutex //gompilint:lockorder rank=40
+	regMu     sync.Mutex          //gompilint:lockorder rank=40
 	comms     sync.Map            // uint16 -> *Channel
 	byEx      sync.Map            // ExCID -> *Channel
 	orphans   map[uint16][][]byte // fast-path packets for not-yet-registered CIDs
@@ -123,11 +115,6 @@ type Engine struct {
 	// no-failures case skip the map probe entirely.
 	failedPeers sync.Map // int -> struct{}
 	failedCount atomic.Int64
-
-	// legacyMu/legacyCond are the engine-wide lock and condvar shared by
-	// every channel when Config.Matcher selects the legacy engine.
-	legacyMu   sync.Mutex //gompilint:lockorder rank=44
-	legacyCond *sync.Cond
 
 	st engineStats
 }
@@ -204,9 +191,8 @@ type peerState struct {
 
 // Channel is the PML view of one communicator: a local CID, an optional
 // exCID, and the comm-rank to global-rank translation. lock guards the
-// matcher and peer state; cond is signaled on unexpected-queue arrivals and
-// teardown. Both are pointers so the legacy engine can share one pair
-// across all channels.
+// matcher and peer state; cond (bound to lock) is signaled on
+// unexpected-queue arrivals and teardown. A Channel is never copied.
 type Channel struct {
 	eng      *Engine
 	localCID uint16
@@ -215,8 +201,8 @@ type Channel struct {
 	myRank   int
 	ranks    []int // comm rank -> global rank; immutable
 
-	lock    *sync.Mutex //gompilint:lockorder rank=44
-	cond    *sync.Cond
+	lock    sync.Mutex //gompilint:lockorder rank=44
+	cond    sync.Cond
 	removed bool
 	// deadMember is set by FailPeer when any rank of this channel dies.
 	// Internal (negative-tag) receives posted afterwards fail fast with
@@ -235,7 +221,7 @@ type Channel struct {
 	// operations so everyone reaches the rebuild collectively.
 	revoked bool
 	peers   []peerState
-	m          matcher
+	m       *bucketMatcher
 
 	// persNext/persFree drive the persistent-collective tag-window
 	// allocator (partitioned.go): windows are handed out lowest-first so
@@ -256,13 +242,11 @@ func NewEngine(btls []btl.Module, cfg Config) *Engine {
 		btls:      btls,
 		cfgEager:  cfg.EagerLimit,
 		trace:     cfg.Trace,
-		legacy:    cfg.Matcher == "list" || cfg.Matcher == "legacy",
 		orphans:   make(map[uint16][][]byte),
 		orphansEx: make(map[ExCID][][]byte),
 		pendSend:  make(map[uint64]*pendingSend),
 		pendRecv:  make(map[uint64]*postedRecv),
 	}
-	e.legacyCond = sync.NewCond(&e.legacyMu)
 	for _, m := range btls {
 		m.Activate(e.deliver)
 	}
@@ -667,16 +651,9 @@ func (e *Engine) AddChannel(localCID uint16, ex ExCID, useEx bool, myRank int, r
 		myRank:   myRank,
 		ranks:    append([]int(nil), ranks...),
 		peers:    make([]peerState, len(ranks)),
+		m:        newBucketMatcher(len(ranks)),
 	}
-	if e.legacy {
-		ch.lock = &e.legacyMu
-		ch.cond = e.legacyCond
-		ch.m = newListMatcher()
-	} else {
-		ch.lock = new(sync.Mutex)
-		ch.cond = sync.NewCond(ch.lock)
-		ch.m = newBucketMatcher(len(ranks))
-	}
+	ch.cond.L = &ch.lock
 	e.regMu.Lock()
 	if _, dup := e.comms.Load(localCID); dup {
 		e.regMu.Unlock()

@@ -1,49 +1,14 @@
 package pml
 
 // The matching engine behind a Channel. Every method is called with the
-// channel's lock held; the implementation holds no locks of its own.
+// channel's lock held; the matcher holds no locks of its own.
 //
-// MPI's matching rules, which both implementations must preserve exactly:
+// MPI's matching rules, which the matcher must preserve exactly:
 //   - an inbound message matches the EARLIEST-POSTED receive it satisfies
 //     (posted order spans specific-source and wildcard receives);
 //   - a receive matches the EARLIEST-ARRIVED unexpected message it
 //     satisfies, which implies FIFO per sender;
 //   - AnyTag matches only non-negative (application) tags.
-type matcher interface {
-	// pushPosted appends a receive to the posted queue.
-	pushPosted(pr *postedRecv)
-	// takePosted removes and returns the earliest-posted receive matching
-	// an inbound (src, tag), or nil.
-	takePosted(src, tag int) *postedRecv
-	// pushUnexpected appends an unmatched inbound message.
-	pushUnexpected(m *inbound)
-	// takeUnexpected removes and returns the earliest-arrived unexpected
-	// message matching a receive's (src, tag) pattern, or nil. src may be
-	// AnySource and tag may be AnyTag.
-	takeUnexpected(src, tag int) *inbound
-	// peekUnexpected is takeUnexpected without removal (probes).
-	peekUnexpected(src, tag int) *inbound
-	// takePostedBySrc removes and returns, in posted order, every receive
-	// naming src as its specific source (peer failure). Wildcards stay.
-	takePostedBySrc(src int) []*postedRecv
-	// takePostedInternal removes and returns every posted receive carrying
-	// an internal (negative) tag, regardless of source. Collective
-	// algorithms run on internal tags and their dependency graphs reach
-	// every rank transitively, so when a channel member dies these receives
-	// can hang on perfectly alive peers that themselves bailed out;
-	// FailPeer poisons them all. Application receives (tag >= 0) stay.
-	takePostedInternal() []*postedRecv
-	// takePostedWildcard removes and returns, in posted order, every
-	// AnySource receive. A wildcard can only complete if SOME channel
-	// member is still alive to send; when the last non-self member dies,
-	// FailPeer drains these — otherwise a blocking wildcard Recv hangs
-	// forever on a channel nobody can ever send on again.
-	takePostedWildcard() []*postedRecv
-	// takeAllPosted removes and returns every posted receive (teardown).
-	takeAllPosted() []*postedRecv
-	// takeAllUnexpected removes and returns every unexpected message.
-	takeAllUnexpected() []*inbound
-}
 
 // tagMatches implements the tag half of the matching rule.
 func tagMatches(want, got int) bool {
@@ -51,15 +16,6 @@ func tagMatches(want, got int) bool {
 		return got >= 0
 	}
 	return want == got
-}
-
-// matches implements the full MPI matching rule: wildcard source matches
-// any rank; wildcard tag matches only non-negative (application) tags.
-func matches(wantSrc, wantTag, src, tag int) bool {
-	if wantSrc != AnySource && wantSrc != src {
-		return false
-	}
-	return tagMatches(wantTag, tag)
 }
 
 // postedList / inboundList are intrusive doubly-linked queues: the links
@@ -145,7 +101,7 @@ func (l *inboundList) removeAll(m *inbound) {
 	m.anext, m.aprev = nil, nil
 }
 
-// bucketMatcher is the production matcher: per-source buckets make the
+// bucketMatcher is the channel matcher: per-source buckets make the
 // common non-wildcard lookup O(1) amortized while sequence numbers keep the
 // wildcard fallbacks semantically identical to a single ordered queue.
 //
@@ -173,6 +129,7 @@ func newBucketMatcher(size int) *bucketMatcher {
 	}
 }
 
+// pushPosted appends a receive to the posted queue.
 func (b *bucketMatcher) pushPosted(pr *postedRecv) {
 	b.nextPseq++
 	pr.pseq = b.nextPseq
@@ -183,6 +140,8 @@ func (b *bucketMatcher) pushPosted(pr *postedRecv) {
 	}
 }
 
+// takePosted removes and returns the earliest-posted receive matching an
+// inbound (src, tag), or nil.
 func (b *bucketMatcher) takePosted(src, tag int) *postedRecv {
 	var best *postedRecv
 	var bestList *postedList
@@ -206,6 +165,7 @@ func (b *bucketMatcher) takePosted(src, tag int) *postedRecv {
 	return best
 }
 
+// pushUnexpected appends an unmatched inbound message.
 func (b *bucketMatcher) pushUnexpected(m *inbound) {
 	b.unexSrc[m.src].pushBackSrc(m)
 	b.unexAll.pushBackAll(m)
@@ -228,6 +188,9 @@ func (b *bucketMatcher) findUnexpected(src, tag int) *inbound {
 	return nil
 }
 
+// takeUnexpected removes and returns the earliest-arrived unexpected
+// message matching a receive's (src, tag) pattern, or nil. src may be
+// AnySource and tag may be AnyTag.
 func (b *bucketMatcher) takeUnexpected(src, tag int) *inbound {
 	m := b.findUnexpected(src, tag)
 	if m != nil {
@@ -237,10 +200,13 @@ func (b *bucketMatcher) takeUnexpected(src, tag int) *inbound {
 	return m
 }
 
+// peekUnexpected is takeUnexpected without removal (probes).
 func (b *bucketMatcher) peekUnexpected(src, tag int) *inbound {
 	return b.findUnexpected(src, tag)
 }
 
+// takePostedBySrc removes and returns, in posted order, every receive
+// naming src as its specific source (peer failure). Wildcards stay.
 func (b *bucketMatcher) takePostedBySrc(src int) []*postedRecv {
 	var out []*postedRecv
 	for pr := b.postSrc[src].head; pr != nil; {
@@ -252,6 +218,12 @@ func (b *bucketMatcher) takePostedBySrc(src int) []*postedRecv {
 	return out
 }
 
+// takePostedInternal removes and returns every posted receive carrying an
+// internal (negative) tag, regardless of source. Collective algorithms run
+// on internal tags and their dependency graphs reach every rank
+// transitively, so when a channel member dies these receives can hang on
+// perfectly alive peers that themselves bailed out; FailPeer poisons them
+// all. Application receives (tag >= 0) stay.
 func (b *bucketMatcher) takePostedInternal() []*postedRecv {
 	var out []*postedRecv
 	take := func(l *postedList) {
@@ -271,6 +243,11 @@ func (b *bucketMatcher) takePostedInternal() []*postedRecv {
 	return out
 }
 
+// takePostedWildcard removes and returns, in posted order, every AnySource
+// receive. A wildcard can only complete if SOME channel member is still
+// alive to send; when the last non-self member dies, FailPeer drains these
+// — otherwise a blocking wildcard Recv hangs forever on a channel nobody
+// can ever send on again.
 func (b *bucketMatcher) takePostedWildcard() []*postedRecv {
 	var out []*postedRecv
 	for pr := b.postWild.head; pr != nil; {
@@ -282,6 +259,7 @@ func (b *bucketMatcher) takePostedWildcard() []*postedRecv {
 	return out
 }
 
+// takeAllPosted removes and returns every posted receive (teardown).
 func (b *bucketMatcher) takeAllPosted() []*postedRecv {
 	var out []*postedRecv
 	take := func(l *postedList) {
@@ -299,6 +277,7 @@ func (b *bucketMatcher) takeAllPosted() []*postedRecv {
 	return out
 }
 
+// takeAllUnexpected removes and returns every unexpected message.
 func (b *bucketMatcher) takeAllUnexpected() []*inbound {
 	var out []*inbound
 	for m := b.unexAll.head; m != nil; {

@@ -2,16 +2,23 @@ package pml
 
 // listMatcher is the original single-queue matcher: one posted slice and one
 // unexpected slice, scanned linearly in order, with O(n) splice removals. It
-// is retained verbatim as the reference implementation — the matching
-// property test checks bucketMatcher against it, and Config.Matcher "list"
-// selects it (together with the shared engine-wide lock and unpooled
-// allocation) for the BenchmarkAblationPML before/after comparison.
+// is the reference implementation TestMatcherPropertyEquivalence checks
+// bucketMatcher against: simple enough to be obviously correct.
 type listMatcher struct {
 	posted     []*postedRecv
 	unexpected []*inbound
 }
 
 func newListMatcher() *listMatcher { return &listMatcher{} }
+
+// matches implements the full MPI matching rule: wildcard source matches
+// any rank; wildcard tag matches only non-negative (application) tags.
+func matches(wantSrc, wantTag, src, tag int) bool {
+	if wantSrc != AnySource && wantSrc != src {
+		return false
+	}
+	return tagMatches(wantTag, tag)
+}
 
 func (l *listMatcher) pushPosted(pr *postedRecv) {
 	l.posted = append(l.posted, pr)

@@ -1,7 +1,6 @@
 package pml
 
 import (
-	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -16,8 +15,8 @@ import (
 type mirror struct {
 	t      *testing.T
 	size   int
-	bucket matcher
-	list   matcher
+	bucket *bucketMatcher
+	list   *listMatcher
 	bpID   map[*postedRecv]int
 	lpID   map[*postedRecv]int
 	buID   map[*inbound]int
@@ -218,61 +217,5 @@ func TestMatcherPropertyEquivalence(t *testing.T) {
 			}
 		}
 		m.drain()
-	}
-}
-
-// TestLegacyEngineEndToEnd smoke-tests the Config.Matcher="list" ablation
-// engine over the fabric: eager, wildcard, rendezvous, and probe paths all
-// behave identically to the default engine.
-func TestLegacyEngineEndToEnd(t *testing.T) {
-	tn := newTestNet(t, 2, Config{Matcher: "list", EagerLimit: 64})
-	chans := tn.worldChannels(t, 0)
-
-	// Eager, posted side first.
-	rbuf := make([]byte, 16)
-	req := chans[1].Irecv(0, 7, rbuf)
-	if err := chans[0].Send(1, 7, []byte("eager-posted")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	st, err := req.Wait()
-	if err != nil || st.Source != 0 || st.Tag != 7 {
-		t.Fatalf("recv: %+v %v", st, err)
-	}
-	if !bytes.Equal(rbuf[:st.Count], []byte("eager-posted")) {
-		t.Fatalf("payload mismatch: %q", rbuf[:st.Count])
-	}
-
-	// Unexpected + wildcard receive + probe.
-	if err := chans[0].Send(1, 9, []byte("unexpected")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	pst, err := chans[1].Probe(AnySource, AnyTag)
-	if err != nil || pst.Tag != 9 || pst.Count != len("unexpected") {
-		t.Fatalf("probe: %+v %v", pst, err)
-	}
-	st, err = chans[1].Recv(AnySource, AnyTag, rbuf)
-	if err != nil || st.Source != 0 || st.Tag != 9 {
-		t.Fatalf("wildcard recv: %+v %v", st, err)
-	}
-
-	// Rendezvous (above the 64-byte eager limit).
-	big := bytes.Repeat([]byte("r"), 400)
-	rbig := make([]byte, 400)
-	done := make(chan error, 1)
-	go func() {
-		_, err := chans[1].Recv(0, 11, rbig)
-		done <- err
-	}()
-	if err := chans[0].Send(1, 11, big); err != nil {
-		t.Fatalf("rndv send: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("rndv recv: %v", err)
-	}
-	if !bytes.Equal(rbig, big) {
-		t.Fatalf("rndv payload mismatch")
-	}
-	if st := tn.engines[0].Stats(); st.Rendezvous != 1 {
-		t.Fatalf("expected 1 rendezvous, got %+v", st)
 	}
 }

@@ -109,9 +109,9 @@ type reviveRule struct {
 
 // faultState hangs off the Fabric; all fields are guarded by mu.
 type faultState struct {
-	mu    sync.Mutex //gompilint:lockorder rank=50
-	plan  *FaultPlan
-	rng   uint64
+	mu      sync.Mutex //gompilint:lockorder rank=50
+	plan    *FaultPlan
+	rng     uint64
 	part    map[int]int // node → partition group; nil when healed
 	kills   []killRule
 	revives []reviveRule

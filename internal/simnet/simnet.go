@@ -335,16 +335,21 @@ func (e *Endpoint) Send(dst Addr, m Message) error {
 		time.AfterFunc(v.reorderLag, func() { dep.enqueue(m) })
 		return nil
 	}
+	var dup Message
+	if v.dup {
+		dup = dupMessage(m) // before enqueue hands m to the receiver
+	}
 	err := dep.enqueue(m)
 	if err == nil && v.dup {
-		dep.enqueue(dupMessage(m))
+		dep.enqueue(dup)
 	}
 	return err
 }
 
 // dupMessage deep-copies the payload: the receiver owns a delivered packet
 // and may recycle its buffer, so the duplicate must be an independent copy —
-// just as a duplicated packet on a real wire is a separate byte sequence.
+// just as a duplicated packet on a real wire is a separate byte sequence —
+// taken before the original is delivered.
 func dupMessage(m Message) Message {
 	if m.Payload != nil {
 		m.Payload = append([]byte(nil), m.Payload...)

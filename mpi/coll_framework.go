@@ -16,21 +16,14 @@ import (
 // gompi_coll_allreduce = ring. Unknown algorithm names are rejected.
 const collHintPrefix = "gompi_coll_"
 
-// collTransport adapts a communicator's internal point-to-point helpers
-// (which ride the PML, and through it the selected BTLs) to the framework.
+// collTransport adapts a communicator's PML channel (and through it the
+// selected BTLs) to the framework's nonblocking coll.Transport, so
+// communicator collectives run their compiled schedules through the DAG
+// engine, issuing every dependency-free step at once.
 type collTransport struct{ c *Comm }
 
 func (t collTransport) Rank() int { return t.c.Rank() }
 func (t collTransport) Size() int { return t.c.Size() }
-func (t collTransport) Send(buf []byte, dest, tag int) error {
-	return t.c.sendT(buf, dest, tag)
-}
-func (t collTransport) Recv(buf []byte, src, tag int) error {
-	return t.c.recvT(buf, src, tag)
-}
-func (t collTransport) Sendrecv(sendBuf []byte, dest int, recvBuf []byte, src, tag int) error {
-	return t.c.sendrecvT(sendBuf, dest, recvBuf, src, tag)
-}
 
 // collReq adapts a PML request to the schedule engine's completion handle.
 type collReq struct{ r *pml.Request }
@@ -45,10 +38,6 @@ func (q collReq) Test() (bool, error) {
 	return done, err
 }
 
-// Isend and Irecv make collTransport a coll.NBTransport, so communicator
-// collectives run their compiled schedules through the DAG engine (issuing
-// every dependency-free step at once) instead of the sequential reference
-// executor.
 func (t collTransport) Isend(buf []byte, dest, tag int) (coll.Req, error) {
 	return collReq{t.c.ch.Isend(dest, tag, buf)}, nil
 }

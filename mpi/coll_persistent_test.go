@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"testing"
 
-	"gompi/internal/core"
-	"gompi/internal/topo"
 	"gompi/mpi"
-	"gompi/runtime"
 )
 
 // TestPersistentAllreduce runs the setup-once/start-many path end to end:
@@ -174,78 +171,4 @@ func TestPersistentCollKinds(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-// TestCollExecModeEquivalence is the end-to-end A/B property: the same
-// workload under the DAG engine (default) and under the sequential direct
-// executor (the pre-schedule reference) must produce byte-identical
-// results on every rank.
-func TestCollExecModeEquivalence(t *testing.T) {
-	type capture struct {
-		allred []byte
-		gather []byte
-	}
-	runMode := func(execMode string) []capture {
-		caps := make([]capture, 6)
-		cfg := propCfg()
-		cfg.CollExec = execMode
-		run(t, 2, 3, cfg, func(p *mpi.Process) error {
-			if err := p.Init(); err != nil {
-				return err
-			}
-			defer p.Finalize()
-			world := p.CommWorld()
-			size, rank := world.Size(), world.Rank()
-			const count = 96
-			in := make([]int64, count)
-			for i := range in {
-				in[i] = int64(rank*7919 + i)
-			}
-			send := mpi.PackInt64s(in)
-			recv := make([]byte, count*8)
-			if err := world.Allreduce(send, recv, count, mpi.Int64, mpi.OpSum); err != nil {
-				return err
-			}
-			grecv := make([]byte, size*count*8)
-			if err := world.Allgather(send, grecv); err != nil {
-				return err
-			}
-			caps[rank] = capture{allred: recv, gather: grecv}
-			return nil
-		})
-		return caps
-	}
-	engine := runMode("")
-	direct := runMode("direct")
-	for r := range engine {
-		if !bytes.Equal(engine[r].allred, direct[r].allred) {
-			t.Fatalf("rank %d: allreduce diverges between executors", r)
-		}
-		if !bytes.Equal(engine[r].gather, direct[r].gather) {
-			t.Fatalf("rank %d: allgather diverges between executors", r)
-		}
-	}
-}
-
-// TestCollExecModeRejected: a bogus executor name must fail instance
-// bring-up rather than silently falling back.
-func TestCollExecModeRejected(t *testing.T) {
-	cfg := propCfg()
-	cfg.CollExec = "bogus"
-	err := runErr(t, 1, 1, cfg, func(p *mpi.Process) error {
-		return p.Init()
-	})
-	if err == nil {
-		t.Fatal("CollExec=bogus accepted")
-	}
-}
-
-// runErr is run without the t.Fatal, for tests that expect launch failure.
-func runErr(t *testing.T, nodes, ppn int, cfg core.Config, main func(p *mpi.Process) error) error {
-	t.Helper()
-	return runtime.Run(runtime.Options{
-		Cluster: topo.New(topo.Loopback(ppn), nodes),
-		PPN:     ppn,
-		Config:  cfg,
-	}, main)
 }
