@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build lint test test-race chaos pool-guard fuzz-smoke bench bench-smoke bench-udp smoke-udp figures
+.PHONY: check fmt vet build lint test test-race stress-pml chaos pool-guard fuzz-smoke bench bench-smoke bench-udp smoke-udp figures
 
 # check is the repo's verification gate: gofmt, vet, build, the gompilint
 # suite, the full test suite under the race detector, the debug-build arena
@@ -25,6 +25,14 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# stress-pml repeats the messaging-core suites under the race detector: a
+# recycled request completed twice, or a registry snapshot read while it is
+# being written, shows up in one run of many, not in a single pass. -p 1
+# keeps the two packages from loading the cores at once: simnet's
+# delay-model tests time modeled sends against the wall clock.
+stress-pml:
+	$(GO) test -race -count=10 -p 1 ./internal/pml ./internal/simnet
 
 # chaos runs the seeded fault-injection matrix (DESIGN.md §7): simnet
 # fault-plan unit tests, control-plane retry under drops/partitions, PML

@@ -84,6 +84,8 @@ type endpoint struct {
 // Send looks the peer's mailbox up on every call (not at AddProc time) so a
 // peer that finalized and re-initialized is picked up, and one that closed
 // reports ErrClosed exactly like a closed fabric endpoint would.
+//
+//gompilint:noalloc
 func (e *endpoint) Send(pkt []byte) error {
 	deliver, ok := e.mod.seg.Lookup(e.peer)
 	if !ok {

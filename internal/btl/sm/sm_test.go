@@ -86,3 +86,35 @@ func TestEagerLimitLargerThanNet(t *testing.T) {
 	}
 	var _ btl.Module = m
 }
+
+// TestSendReachesReregisteredPeer pins the per-send lookup: an endpoint
+// resolved before the peer finalized must reach the peer's next
+// incarnation as soon as it re-registers, with no new AddProc.
+func TestSendReachesReregisteredPeer(t *testing.T) {
+	f, nodeOf := twoNodes(t)
+	m0 := New(f.Segment(0), 0, 0, nodeOf, 0)
+	m0.Activate(func([]byte) {})
+	defer m0.Close()
+	old := New(f.Segment(0), 0, 1, nodeOf, 0)
+	old.Activate(func([]byte) { t.Error("packet delivered to the closed incarnation") })
+
+	ep, err := m0.AddProc(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Close()
+	if err := ep.Send([]byte{1}); !errors.Is(err, btl.ErrClosed) {
+		t.Fatalf("send to a finalized peer err = %v, want ErrClosed", err)
+	}
+
+	var got []byte
+	fresh := New(f.Segment(0), 0, 1, nodeOf, 0)
+	fresh.Activate(func(pkt []byte) { got = pkt })
+	defer fresh.Close()
+	if err := ep.Send([]byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != 2 {
+		t.Fatalf("re-registered peer got %v, want [2]", got)
+	}
+}

@@ -75,13 +75,14 @@ type engineStats struct {
 // Locking (DESIGN.md §5b). Matching state is per channel: each Channel owns
 // a lock covering its posted/unexpected queues and peer (exCID/sequence)
 // state, so traffic on different communicators never serializes. The engine
-// keeps two narrow locks — regMu for the channel registry, orphan buffers,
-// and the CID allocator; pendMu for the rendezvous pending maps — plus
-// lock-free structures (sync.Map registries, atomic counters) for the
-// read-mostly lookups on the packet path. The hierarchy is flat: no code
-// path acquires two of these locks at once, so no lock ordering issues can
-// arise; in particular no lock is ever held across a BTL send or a request
-// completion.
+// keeps two narrow locks — regMu for the registries, orphan buffers, and the
+// CID allocator; pendMu for the rendezvous pending maps. The packet path
+// reads the registries (channels by CID and by exCID, routes by peer) from
+// immutable snapshots behind atomic pointers, which writers replace under
+// regMu, so a steady-state send or delivery takes no engine lock and makes
+// no map probe. The hierarchy is flat: no code path acquires two of these
+// locks at once, so no lock ordering issues can arise; in particular no lock
+// is ever held across a BTL send or a request completion.
 type Engine struct {
 	btls     []btl.Module // in MCA priority order
 	cfgEager int          // explicit override; 0 = per-module default
@@ -90,20 +91,27 @@ type Engine struct {
 	closed  atomic.Bool
 	nextReq atomic.Uint64
 
-	// regMu orders channel registry mutations against orphan buffering and
-	// the CID allocator. The registries themselves are sync.Maps so the
-	// packet path reads them without taking regMu; writers (and the
-	// lookup-miss path that buffers orphans) serialize on regMu, which
-	// closes the "packet races AddChannel" window.
-	regMu     sync.Mutex          //gompilint:lockorder rank=40
-	comms     sync.Map            // uint16 -> *Channel
-	byEx      sync.Map            // ExCID -> *Channel
-	orphans   map[uint16][][]byte // fast-path packets for not-yet-registered CIDs
-	orphansEx map[ExCID][][]byte  // ext packets for not-yet-registered exCIDs
-	cidHWM    int                 // CIDs below this have been claimed at least once
-	cidFree   []uint16            // released CIDs below cidHWM, sorted ascending
+	// regMu orders registry mutations against orphan buffering and the CID
+	// allocator. The channel registries are copy-on-write snapshots the
+	// packet path loads without taking regMu; writers (and the lookup-miss
+	// path that buffers orphans) serialize on regMu, which closes the
+	// "packet races AddChannel" window.
+	regMu     sync.Mutex                         //gompilint:lockorder rank=40
+	comms     atomic.Pointer[[]*Channel]         // indexed by local CID; nil = free
+	byEx      atomic.Pointer[map[ExCID]*Channel] // exCID channels
+	orphans   map[uint16][][]byte                // fast-path packets for not-yet-registered CIDs
+	orphansEx map[ExCID][][]byte                 // ext packets for not-yet-registered exCIDs
+	cidHWM    int                                // CIDs below this have been claimed at least once
+	cidFree   []uint16                           // released CIDs below cidHWM, sorted ascending
 
-	routes sync.Map // int (global rank) -> *route
+	// routes caches each peer's transport, indexed by global rank. The
+	// table is replaced only to grow (doubling, so a rank that contacts
+	// every peer copies O(peers) slots in total, not per peer); its slots
+	// are atomic and written under regMu. routeEpoch, also guarded by
+	// regMu, counts RevivePeer calls so a resolution that raced one is not
+	// cached.
+	routes     atomic.Pointer[[]atomic.Pointer[route]]
+	routeEpoch uint64
 
 	// pendMu guards the rendezvous maps: sends awaiting CTS and receives
 	// awaiting DATA.
@@ -307,8 +315,10 @@ func (e *Engine) Close() {
 	}
 	var reqs []*Request
 	var frees []*postedRecv
-	e.comms.Range(func(_, v any) bool {
-		ch := v.(*Channel)
+	for _, ch := range e.channels() {
+		if ch == nil {
+			continue
+		}
 		ch.lock.Lock()
 		posted := ch.m.takeAllPosted()
 		unex := ch.m.takeAllUnexpected()
@@ -323,8 +333,7 @@ func (e *Engine) Close() {
 			e.putBuf(m.raw)
 			e.freeInbound(m)
 		}
-		return true
-	})
+	}
 	e.pendMu.Lock()
 	for _, ps := range e.pendSend {
 		reqs = append(reqs, ps.req)
@@ -367,8 +376,10 @@ func (e *Engine) FailPeer(globalRank int) {
 	}
 	var victims []*Request
 	var frees []*postedRecv
-	e.comms.Range(func(_, v any) bool {
-		ch := v.(*Channel)
+	for _, ch := range e.channels() {
+		if ch == nil {
+			continue
+		}
 		commRank := -1
 		allDead := true
 		for i, r := range ch.ranks {
@@ -380,7 +391,7 @@ func (e *Engine) FailPeer(globalRank int) {
 			}
 		}
 		if commRank < 0 {
-			return true
+			continue
 		}
 		ch.lock.Lock()
 		ch.deadMember = true
@@ -396,8 +407,7 @@ func (e *Engine) FailPeer(globalRank int) {
 			victims = append(victims, pr.req)
 			frees = append(frees, pr)
 		}
-		return true
-	})
+	}
 	e.pendMu.Lock()
 	for id, ps := range e.pendSend {
 		if ps.destGlobal == globalRank {
@@ -438,7 +448,12 @@ func (e *Engine) RevivePeer(globalRank int) {
 	if _, loaded := e.failedPeers.LoadAndDelete(globalRank); loaded {
 		e.failedCount.Add(-1)
 	}
-	e.routes.Delete(globalRank)
+	e.regMu.Lock()
+	e.routeEpoch++
+	if t := e.routes.Load(); t != nil && globalRank >= 0 && globalRank < len(*t) {
+		(*t)[globalRank].Store(nil)
+	}
+	e.regMu.Unlock()
 }
 
 // Revoke marks the communicator revoked everywhere (the ULFM
@@ -541,14 +556,10 @@ func (e *Engine) revokeLocal(ch *Channel) bool {
 func (e *Engine) handleRevoke(pkt []byte, env envelope) {
 	var ch *Channel
 	if env.hasExt {
-		if v, ok := e.byEx.Load(env.ext.ex); ok {
-			ch = v.(*Channel)
-		}
+		ch = e.channelByEx(env.ext.ex)
 		if ch == nil {
 			e.regMu.Lock()
-			if v, ok := e.byEx.Load(env.ext.ex); ok {
-				ch = v.(*Channel)
-			} else {
+			if ch = e.channelByEx(env.ext.ex); ch == nil {
 				e.orphansEx[env.ext.ex] = append(e.orphansEx[env.ext.ex], pkt)
 			}
 			e.regMu.Unlock()
@@ -557,9 +568,7 @@ func (e *Engine) handleRevoke(pkt []byte, env envelope) {
 			}
 		}
 	} else {
-		if v, ok := e.comms.Load(env.hdr.ctx); ok {
-			ch = v.(*Channel)
-		}
+		ch = e.channelByCID(env.hdr.ctx)
 		if ch == nil {
 			e.putBuf(pkt)
 			return
@@ -655,21 +664,19 @@ func (e *Engine) AddChannel(localCID uint16, ex ExCID, useEx bool, myRank int, r
 	}
 	ch.cond.L = &ch.lock
 	e.regMu.Lock()
-	if _, dup := e.comms.Load(localCID); dup {
+	if e.channelByCID(localCID) != nil {
 		e.regMu.Unlock()
 		return nil, fmt.Errorf("pml: local CID %d already in use", localCID)
 	}
-	if useEx {
-		if _, dup := e.byEx.Load(ex); dup {
-			e.regMu.Unlock()
-			return nil, fmt.Errorf("pml: exCID %v already in use", ex)
-		}
+	if useEx && e.channelByEx(ex) != nil {
+		e.regMu.Unlock()
+		return nil, fmt.Errorf("pml: exCID %v already in use", ex)
 	}
-	e.comms.Store(localCID, ch)
+	e.publishCIDLocked(localCID, ch)
 	e.claimCID(localCID)
 	var replay [][]byte
 	if useEx {
-		e.byEx.Store(ex, ch)
+		e.publishExLocked(ex, ch)
 		replay = e.orphansEx[ex]
 		delete(e.orphansEx, ex)
 	} else {
@@ -690,10 +697,10 @@ func (e *Engine) AddChannel(localCID uint16, ex ExCID, useEx bool, myRank int, r
 // lookup.
 func (e *Engine) RemoveChannel(ch *Channel) {
 	e.regMu.Lock()
-	if cur, ok := e.comms.Load(ch.localCID); ok && cur.(*Channel) == ch {
-		e.comms.Delete(ch.localCID)
+	if e.channelByCID(ch.localCID) == ch {
+		e.publishCIDLocked(ch.localCID, nil)
 		if ch.useEx {
-			e.byEx.Delete(ch.ex)
+			e.publishExLocked(ch.ex, nil)
 		}
 		e.releaseCID(ch.localCID)
 	}
@@ -733,6 +740,64 @@ func (ch *Channel) drainStashLocked() []*inbound {
 	return out
 }
 
+// channels returns the current CID-indexed channel snapshot (nil slots are
+// free CIDs). Callers must not modify it.
+func (e *Engine) channels() []*Channel {
+	if t := e.comms.Load(); t != nil {
+		return *t
+	}
+	return nil
+}
+
+// channelByCID returns the channel registered under a local CID, or nil.
+func (e *Engine) channelByCID(cid uint16) *Channel {
+	if t := e.channels(); int(cid) < len(t) {
+		return t[cid]
+	}
+	return nil
+}
+
+// channelByEx returns the channel registered under an exCID, or nil.
+func (e *Engine) channelByEx(ex ExCID) *Channel {
+	if m := e.byEx.Load(); m != nil {
+		return (*m)[ex]
+	}
+	return nil
+}
+
+// publishCIDLocked replaces the CID snapshot with a copy whose slot cid
+// holds ch (nil frees it), trimmed of trailing free slots. Caller holds
+// regMu.
+func (e *Engine) publishCIDLocked(cid uint16, ch *Channel) {
+	old := e.channels()
+	t := make([]*Channel, max(len(old), int(cid)+1))
+	copy(t, old)
+	t[cid] = ch
+	for len(t) > 0 && t[len(t)-1] == nil {
+		t = t[:len(t)-1]
+	}
+	e.comms.Store(&t)
+}
+
+// publishExLocked replaces the exCID snapshot with a copy mapping ex to ch
+// (nil removes it). Caller holds regMu.
+func (e *Engine) publishExLocked(ex ExCID, ch *Channel) {
+	var old map[ExCID]*Channel
+	if p := e.byEx.Load(); p != nil {
+		old = *p
+	}
+	m := make(map[ExCID]*Channel, len(old)+1)
+	for k, v := range old {
+		m[k] = v
+	}
+	if ch != nil {
+		m[ex] = ch
+	} else {
+		delete(m, ex)
+	}
+	e.byEx.Store(&m)
+}
+
 // LocalCID returns the channel's local communicator ID.
 func (ch *Channel) LocalCID() uint16 { return ch.localCID }
 
@@ -763,11 +828,15 @@ func (ch *Channel) PeerConnected(commRank int) bool {
 // use: modules are tried in priority order and the first whose AddProc
 // accepts the peer wins; ErrUnreachable falls through to the next module,
 // any other resolution error aborts. AddProc may block on the modex
-// exchange, so the cache is a sync.Map — the steady-state hit takes no lock.
+// exchange, so it runs with no lock held; the steady-state hit is two atomic
+// loads.
 func (e *Engine) routeTo(globalRank int) (*route, error) {
-	if v, ok := e.routes.Load(globalRank); ok {
-		return v.(*route), nil
+	if rt := e.cachedRoute(globalRank); rt != nil {
+		return rt, nil
 	}
+	e.regMu.Lock()
+	epoch := e.routeEpoch
+	e.regMu.Unlock()
 	for _, m := range e.btls {
 		ep, err := m.AddProc(globalRank)
 		if errors.Is(err, btl.ErrUnreachable) {
@@ -789,13 +858,46 @@ func (e *Engine) routeTo(globalRank int) (*route, error) {
 		if e.trace != nil {
 			e.trace.Logf("btl", "rank %d routed via %s (eager=%d)", globalRank, m.Name(), eager)
 		}
-		rt := &route{mod: m, ep: ep, eager: eager}
-		if prior, loaded := e.routes.LoadOrStore(globalRank, rt); loaded {
-			rt = prior.(*route) // a concurrent caller routed this peer first
-		}
-		return rt, nil
+		return e.installRoute(globalRank, &route{mod: m, ep: ep, eager: eager}, epoch), nil
 	}
 	return nil, fmt.Errorf("pml: no btl module reaches rank %d", globalRank)
+}
+
+// cachedRoute returns the cached transport for a peer, or nil.
+func (e *Engine) cachedRoute(globalRank int) *route {
+	if t := e.routes.Load(); t != nil && globalRank >= 0 && globalRank < len(*t) {
+		return (*t)[globalRank].Load()
+	}
+	return nil
+}
+
+// installRoute caches rt for a peer unless a concurrent caller routed it
+// first, in which case the earlier route wins and is returned. A route
+// resolved before a RevivePeer (epoch is stale) may name the dead
+// incarnation's endpoint: it is handed to this one caller but not cached.
+func (e *Engine) installRoute(globalRank int, rt *route, epoch uint64) *route {
+	e.regMu.Lock()
+	defer e.regMu.Unlock()
+	if epoch != e.routeEpoch || globalRank < 0 {
+		return rt
+	}
+	var t []atomic.Pointer[route]
+	if p := e.routes.Load(); p != nil {
+		t = *p
+	}
+	if globalRank >= len(t) {
+		grown := make([]atomic.Pointer[route], max(2*len(t), globalRank+1))
+		for i := range t {
+			grown[i].Store(t[i].Load())
+		}
+		e.routes.Store(&grown)
+		t = grown
+	}
+	if prior := t[globalRank].Load(); prior != nil {
+		return prior
+	}
+	t[globalRank].Store(rt)
+	return rt
 }
 
 // Isend starts a nonblocking send of buf to dest (a comm rank) with tag.
@@ -815,35 +917,72 @@ func (ch *Channel) Issend(dest, tag int, buf []byte) *Request {
 
 // Ssend is the blocking form of Issend (MPI_Ssend).
 func (ch *Channel) Ssend(dest, tag int, buf []byte) error {
-	_, err := ch.Issend(dest, tag, buf).Wait()
+	return ch.send(dest, tag, buf, true)
+}
+
+// Send is the blocking form of Isend.
+//
+//gompilint:noalloc
+func (ch *Channel) Send(dest, tag int, buf []byte) error {
+	return ch.send(dest, tag, buf, false)
+}
+
+// send is the blocking send. An eager send finishes inside startSend and
+// builds no request; a rendezvous or synchronous send waits on a pooled one.
+//
+//gompilint:noalloc
+func (ch *Channel) send(dest, tag int, buf []byte, synchronous bool) error {
+	req, err := ch.startSend(dest, tag, buf, synchronous, getRequest)
+	if req == nil {
+		return err
+	}
+	_, err = waitPooled(req)
 	return err
 }
 
 func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
+	req, err := ch.startSend(dest, tag, buf, synchronous, newRequest)
+	if req != nil {
+		return req
+	}
+	if err != nil {
+		return completedRequest(Status{}, err)
+	}
+	return completedRequest(Status{Source: ch.myRank, Tag: tag, Count: len(buf)}, nil)
+}
+
+// startSend injects one message: the whole payload when it is eager, or
+// the RTS of a rendezvous transfer. It returns a request, drawn from
+// newReq, only while the operation is still pending (a rendezvous awaiting
+// its CTS and DATA); an operation that finished here — every eager send,
+// and any send that failed — returns a nil request and its outcome as err.
+//
+//gompilint:noalloc
+func (ch *Channel) startSend(dest, tag int, buf []byte, synchronous bool, newReq func() *Request) (*Request, error) {
 	e := ch.eng
 	if dest < 0 || dest >= len(ch.ranks) {
-		return completedRequest(Status{}, fmt.Errorf("pml: send dest %d out of range [0,%d)", dest, len(ch.ranks)))
+		return nil, fmt.Errorf("pml: send dest %d out of range [0,%d)", dest, len(ch.ranks)) //gompilint:ignore noalloc -- error path
 	}
 	destGlobal := ch.ranks[dest]
 
 	// Fail fast before routing: routeTo may block resolving a peer that
 	// the runtime already declared dead.
 	if e.closed.Load() {
-		return completedRequest(Status{}, ErrClosed)
+		return nil, ErrClosed
 	}
 	if e.peerFailed(destGlobal) {
-		return completedRequest(Status{}, fmt.Errorf("%w: rank %d", ErrPeerFailed, destGlobal))
+		return nil, fmt.Errorf("%w: rank %d", ErrPeerFailed, destGlobal) //gompilint:ignore noalloc -- error path
 	}
 
 	rt, err := e.routeTo(destGlobal)
 	if err != nil {
-		return completedRequest(Status{}, err)
+		return nil, err
 	}
 
 	ch.lock.Lock()
 	if ch.revoked {
 		ch.lock.Unlock()
-		return completedRequest(Status{}, ErrRevoked)
+		return nil, ErrRevoked
 	}
 	ps := &ch.peers[dest]
 	seq := ps.sendSeq
@@ -864,13 +1003,21 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
 	var req *Request
 	if !eager {
 		reqID = e.nextReq.Add(1)
-		req = newRequest()
+		req = newReq()
+		ps := &pendingSend{req: req, payload: buf, destGlobal: destGlobal, ch: ch} //gompilint:ignore noalloc -- rendezvous only
 		e.pendMu.Lock()
 		if e.closed.Load() {
 			e.pendMu.Unlock()
-			return completedRequest(Status{}, ErrClosed)
+			return nil, ErrClosed
 		}
-		e.pendSend[reqID] = &pendingSend{req: req, payload: buf, destGlobal: destGlobal, ch: ch}
+		if e.peerFailed(destGlobal) {
+			// FailPeer marks the peer before sweeping pendSend under
+			// pendMu: re-checking here means either it sees this send or
+			// this send sees the mark, never neither.
+			e.pendMu.Unlock()
+			return nil, fmt.Errorf("%w: rank %d", ErrPeerFailed, destGlobal) //gompilint:ignore noalloc -- error path
+		}
+		e.pendSend[reqID] = ps //gompilint:ignore noalloc -- rendezvous only
 		e.pendMu.Unlock()
 		e.st.rendezvous.Add(1)
 	}
@@ -892,7 +1039,8 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
 	} else {
 		hdr.typ = hdrRTS
 		var info [rndvInfoLen]byte
-		putRndvInfo(info[:], rndvInfo{length: uint64(len(buf)), sendReqID: reqID})
+		ri := rndvInfo{length: uint64(len(buf)), sendReqID: reqID}
+		putRndvInfo(info[:], ri)
 		pkt = e.buildPacket(hdr, ch, ext, info[:], nil)
 	}
 
@@ -901,19 +1049,25 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
 	// may send replies that re-enter the engine.
 	if err := rt.ep.Send(pkt); err != nil {
 		err = e.wrapSendErr(destGlobal, err)
-		if !eager {
-			e.pendMu.Lock()
-			delete(e.pendSend, reqID)
-			e.pendMu.Unlock()
-			req.complete(Status{}, err)
-			return req
+		if eager {
+			return nil, err
 		}
-		return completedRequest(Status{}, err)
+		// Only the party that takes the record out of pendSend completes
+		// its request: if FailPeer, Revoke or Close got there first, they
+		// complete it and this send reports through the request.
+		e.pendMu.Lock()
+		_, mine := e.pendSend[reqID]
+		delete(e.pendSend, reqID)
+		e.pendMu.Unlock()
+		if !mine {
+			return req, nil
+		}
+		return nil, err
 	}
 	if eager {
-		return completedRequest(Status{Source: ch.myRank, Tag: tag, Count: len(buf)}, nil)
+		return nil, nil
 	}
-	return req
+	return req, nil
 }
 
 // buildPacket assembles header(s) + body (+extra appended after body) into
@@ -935,81 +1089,86 @@ func (e *Engine) buildPacket(hdr matchHeader, ch *Channel, ext bool, body, extra
 	return pkt
 }
 
-// Send is the blocking form of Isend.
-func (ch *Channel) Send(dest, tag int, buf []byte) error {
-	_, err := ch.Isend(dest, tag, buf).Wait()
-	return err
-}
-
 // Irecv posts a nonblocking receive from src (comm rank or AnySource) with
 // tag (or AnyTag) into buf.
 func (ch *Channel) Irecv(src, tag int, buf []byte) *Request {
+	req := newRequest()
+	ch.postRecv(src, tag, buf, req)
+	return req
+}
+
+// Recv is the blocking form of Irecv; its request comes from the pool and
+// goes back to it, so a receive allocates nothing.
+//
+//gompilint:noalloc
+func (ch *Channel) Recv(src, tag int, buf []byte) (Status, error) {
+	req := getRequest()
+	ch.postRecv(src, tag, buf, req)
+	return waitPooled(req)
+}
+
+// postRecv matches a receive against the unexpected queue or posts it, and
+// completes req itself when the receive is rejected up front.
+//
+//gompilint:noalloc
+func (ch *Channel) postRecv(src, tag int, buf []byte, req *Request) {
 	e := ch.eng
+	var failed Status // the status of a receive rejected up front
 	if src != AnySource && (src < 0 || src >= len(ch.ranks)) {
-		return completedRequest(Status{}, fmt.Errorf("pml: recv src %d out of range [0,%d)", src, len(ch.ranks)))
+		req.complete(failed, fmt.Errorf("pml: recv src %d out of range [0,%d)", src, len(ch.ranks))) //gompilint:ignore noalloc -- error path
+		return
 	}
 	if e.closed.Load() {
-		return completedRequest(Status{}, ErrClosed)
+		req.complete(failed, ErrClosed)
+		return
 	}
-	// If the runtime already declared the source dead, any message it sent
-	// before dying may still be in the unexpected queue, so drain that
-	// first, but never block waiting for a new one.
-	srcFailed := src != AnySource && e.peerFailed(ch.ranks[src])
-
-	req := newRequest()
 	pr := e.newPostedRecv()
 	pr.ch, pr.src, pr.tag, pr.buf, pr.req = ch, src, tag, buf, req
 
 	ch.lock.Lock()
+	var err error
+	var msg *inbound
 	if e.closed.Load() || ch.removed {
-		ch.lock.Unlock()
-		e.freePostedRecv(pr)
-		return completedRequest(Status{}, ErrClosed)
-	}
-	if ch.revoked {
+		err = ErrClosed
+	} else if ch.revoked {
 		// Revocation is terminal: even messages already in the unexpected
 		// queue are not delivered — the communicator's state is no longer
 		// globally consistent and the caller must rebuild.
-		ch.lock.Unlock()
-		e.freePostedRecv(pr)
-		return completedRequest(Status{}, ErrRevoked)
-	}
-	msg := ch.m.takeUnexpected(src, tag)
-	if msg == nil {
-		if srcFailed {
-			ch.lock.Unlock()
-			e.freePostedRecv(pr)
-			return completedRequest(Status{}, fmt.Errorf("%w: rank %d", ErrPeerFailed, ch.ranks[src]))
-		}
-		if src == AnySource && ch.allDead {
+		err = ErrRevoked
+	} else if msg = ch.m.takeUnexpected(src, tag); msg == nil {
+		switch {
+		case src != AnySource && e.peerFailed(ch.ranks[src]):
+			// The runtime declared the source dead: a message it sent
+			// before dying was just drained above, but never block
+			// waiting for a new one. The check runs under the channel
+			// lock because FailPeer marks the peer before it sweeps each
+			// channel's posted queue under that lock: either this sees the
+			// mark, or the sweep sees this receive.
+			err = fmt.Errorf("%w: rank %d", ErrPeerFailed, ch.ranks[src]) //gompilint:ignore noalloc -- error path
+		case src == AnySource && ch.allDead:
 			// Every peer that could ever match this wildcard is dead and
 			// its pre-death traffic was just drained above: nothing will
 			// arrive, so posting would hang forever.
-			ch.lock.Unlock()
-			e.freePostedRecv(pr)
-			return completedRequest(Status{}, fmt.Errorf("%w: all channel peers failed", ErrPeerFailed))
-		}
-		if ch.deadMember && tag < 0 && tag != AnyTag {
+			err = fmt.Errorf("%w: all channel peers failed", ErrPeerFailed) //gompilint:ignore noalloc -- error path
+		case ch.deadMember && tag < 0 && tag != AnyTag:
 			// A collective must not start (or continue) on a communicator
 			// with a failed member: its dependency graph includes the dead
 			// rank, so this receive could hang on a live-but-bailed peer.
+			err = fmt.Errorf("%w: communicator has a failed member", ErrPeerFailed) //gompilint:ignore noalloc -- error path
+		default:
+			ch.m.pushPosted(pr)
 			ch.lock.Unlock()
-			e.freePostedRecv(pr)
-			return completedRequest(Status{}, fmt.Errorf("%w: communicator has a failed member", ErrPeerFailed))
+			return
 		}
-		ch.m.pushPosted(pr)
-		ch.lock.Unlock()
-		return req
 	}
 	ch.lock.Unlock()
+	if err != nil {
+		e.freePostedRecv(pr)
+		req.complete(failed, err)
+		return
+	}
 	e.st.unexpectedHits.Add(1)
 	e.consume(pr, msg)
-	return req
-}
-
-// Recv is the blocking form of Irecv.
-func (ch *Channel) Recv(src, tag int, buf []byte) (Status, error) {
-	return ch.Irecv(src, tag, buf).Wait()
 }
 
 // consume finishes matching a posted receive against an inbound message.
@@ -1178,8 +1337,7 @@ func (e *Engine) handlePacket(pkt []byte) {
 		e.handleRevoke(pkt, env)
 
 	case hdrCIDAck:
-		if v, ok := e.byEx.Load(env.ack.ex); ok {
-			ch := v.(*Channel)
+		if ch := e.channelByEx(env.ack.ex); ch != nil {
 			if int(env.ack.commRank) < len(ch.peers) {
 				ch.lock.Lock()
 				ps := &ch.peers[env.ack.commRank]
@@ -1200,13 +1358,9 @@ func (e *Engine) handleMatch(pkt []byte, env envelope) {
 	for {
 		var ch *Channel
 		if env.hasExt {
-			if v, ok := e.byEx.Load(env.ext.ex); ok {
-				ch = v.(*Channel)
-			}
+			ch = e.channelByEx(env.ext.ex)
 		} else {
-			if v, ok := e.comms.Load(hdr.ctx); ok {
-				ch = v.(*Channel)
-			}
+			ch = e.channelByCID(hdr.ctx)
 		}
 		if ch == nil {
 			// The communicator is still being constructed locally: buffer
@@ -1215,15 +1369,11 @@ func (e *Engine) handleMatch(pkt []byte, env envelope) {
 			// a packet cannot slip into orphans after its replay.
 			e.regMu.Lock()
 			if env.hasExt {
-				if v, ok := e.byEx.Load(env.ext.ex); ok {
-					ch = v.(*Channel)
-				} else {
+				if ch = e.channelByEx(env.ext.ex); ch == nil {
 					e.orphansEx[env.ext.ex] = append(e.orphansEx[env.ext.ex], pkt)
 				}
 			} else {
-				if v, ok := e.comms.Load(hdr.ctx); ok {
-					ch = v.(*Channel)
-				} else {
+				if ch = e.channelByCID(hdr.ctx); ch == nil {
 					e.orphans[hdr.ctx] = append(e.orphans[hdr.ctx], pkt)
 				}
 			}

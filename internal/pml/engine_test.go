@@ -24,6 +24,13 @@ type testNet struct {
 
 func newTestNet(t *testing.T, n int, cfg Config) *testNet {
 	t.Helper()
+	return newWrappedTestNet(t, n, cfg, nil)
+}
+
+// newWrappedTestNet is newTestNet with a hook that may wrap engine i's
+// transport module before the engine activates it (nil wraps nothing).
+func newWrappedTestNet(t *testing.T, n int, cfg Config, wrap func(i int, m btl.Module) btl.Module) *testNet {
+	t.Helper()
 	fabric := simnet.NewFabric(topo.New(topo.Loopback(n), 1))
 	eps := make([]*simnet.Endpoint, n)
 	for i := range eps {
@@ -37,7 +44,10 @@ func newTestNet(t *testing.T, n int, cfg Config) *testNet {
 	}
 	tn := &testNet{}
 	for i := 0; i < n; i++ {
-		mod := btlnet.New(eps[i], resolve, 0)
+		var mod btl.Module = btlnet.New(eps[i], resolve, 0)
+		if wrap != nil {
+			mod = wrap(i, mod)
+		}
 		tn.engines = append(tn.engines, NewEngine([]btl.Module{mod}, cfg))
 	}
 	t.Cleanup(func() {
@@ -307,10 +317,66 @@ func TestExCIDHandshake(t *testing.T) {
 	}
 }
 
+// ackGate wraps a transport module and parks every inbound exCID handshake
+// ACK until release, so a test decides when the sender learns the
+// receiver's local CID instead of racing the receiver's progress.
+type ackGate struct {
+	btl.Module
+	deliver btl.DeliverFunc
+	parked  chan struct{} // one token per parked ACK; roomy so the BTL's progress goroutine never blocks on it
+
+	mu   sync.Mutex
+	open bool
+	held [][]byte
+}
+
+func newAckGate(m btl.Module) *ackGate {
+	return &ackGate{Module: m, parked: make(chan struct{}, 16)}
+}
+
+func (g *ackGate) Activate(deliver btl.DeliverFunc) {
+	g.deliver = deliver
+	g.Module.Activate(func(pkt []byte) {
+		if env, err := decodeEnvelope(pkt); err == nil && env.hdr.typ == hdrCIDAck {
+			g.mu.Lock()
+			if !g.open {
+				g.held = append(g.held, pkt)
+				g.mu.Unlock()
+				g.parked <- struct{}{}
+				return
+			}
+			g.mu.Unlock()
+		}
+		deliver(pkt)
+	})
+}
+
+// release opens the gate and delivers the parked ACKs on the caller's
+// goroutine, so they have been applied when release returns.
+func (g *ackGate) release() {
+	g.mu.Lock()
+	g.open = true
+	held := g.held
+	g.held = nil
+	g.mu.Unlock()
+	for _, pkt := range held {
+		g.deliver(pkt)
+	}
+}
+
 func TestExCIDWindowBeforeAck(t *testing.T) {
 	// The Fig. 5c mechanism: a window of sends issued back-to-back before
-	// the receiver's ACK arrives all carry extended headers.
-	tn := newTestNet(t, 2, Config{})
+	// the receiver's ACK arrives all carry extended headers. Engine 0
+	// holds the ACK back until the whole window has left, so the window
+	// never races the handshake.
+	var gate *ackGate
+	tn := newWrappedTestNet(t, 2, Config{}, func(i int, m btl.Module) btl.Module {
+		if i != 0 {
+			return m
+		}
+		gate = newAckGate(m)
+		return gate
+	})
 	ex := ExCID{PGCID: 7}
 	chs := tn.exChannels(t, ex, 20)
 	const window = 16
@@ -334,11 +400,29 @@ func TestExCIDWindowBeforeAck(t *testing.T) {
 		}
 	}
 	s0 := tn.engines[0].Stats()
-	if s0.ExtSent < 2 {
-		t.Fatalf("ExtSent = %d, want >1 (window outpaces the ACK)", s0.ExtSent)
+	if s0.ExtSent != window {
+		t.Fatalf("ExtSent = %d, want %d (every send of the window precedes the ACK)", s0.ExtSent, window)
 	}
 	if s1 := tn.engines[1].Stats(); s1.AcksSent != 1 {
 		t.Fatalf("AcksSent = %d, want exactly 1 despite %d ext messages", s1.AcksSent, s0.ExtSent)
+	}
+
+	// Once the ACK lands, the next send switches to the 14-byte header.
+	select {
+	case <-gate.parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("receiver's ACK never reached engine 0")
+	}
+	gate.release()
+	r := chs[1].Irecv(0, 5, make([]byte, 1))
+	if err := chs[0].Send(1, 5, []byte{window}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if s0 := tn.engines[0].Stats(); s0.AcksRecved != 1 || s0.ExtSent != window || s0.FastSent != 1 {
+		t.Fatalf("after the ACK: AcksRecved=%d ExtSent=%d FastSent=%d, want 1, %d, 1", s0.AcksRecved, s0.ExtSent, s0.FastSent, window)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"gompi/internal/btl"
 )
 
 func TestFailPeerCompletesSpecificRecvs(t *testing.T) {
@@ -98,5 +100,39 @@ func TestFailPeerUnknownRankIsNoop(t *testing.T) {
 	}
 	if _, err := req.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailPeerRacesNewOperations races FailPeer against a receive naming
+// the dying rank and a rendezvous send toward it, each started on its own
+// goroutine at the same moment. Whichever side wins, the operation must
+// fail with ErrPeerFailed: either it observes the failure mark, or
+// FailPeer's sweep finds it posted. (A failure check made before taking
+// the lock that the sweep holds leaves a window where neither happens and
+// the operation hangs.) The transport swallows every packet, so nothing but
+// FailPeer can complete either request.
+func TestFailPeerRacesNewOperations(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		e := NewEngine([]btl.Module{&incarnationBTL{}}, Config{EagerLimit: 8})
+		ch, err := e.AddChannel(0, ExCID{}, false, 0, []int{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := make(chan *Request, 2)
+		go func() { reqs <- ch.Irecv(1, 5, make([]byte, 4)) }()
+		go func() { reqs <- ch.Isend(1, 5, make([]byte, 64)) }()
+		e.FailPeer(1)
+		for k := 0; k < 2; k++ {
+			r := <-reqs
+			select {
+			case <-r.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatalf("iteration %d: operation toward the failed rank never completed", i)
+			}
+			if _, err := r.Wait(); !errors.Is(err, ErrPeerFailed) {
+				t.Fatalf("iteration %d: err = %v, want ErrPeerFailed", i, err)
+			}
+		}
+		e.Close()
 	}
 }

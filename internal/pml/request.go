@@ -40,30 +40,41 @@ type Status struct {
 	Count  int // bytes received
 }
 
-// Request is the completion handle for a nonblocking operation.
+// Request is the completion handle for a nonblocking operation. It carries
+// no channel of its own: Wait parks on cond (bound to mu), and complete sets
+// the result and broadcasts while still holding mu, so every waiter that
+// observes completed also observes status and err. A select-able channel is
+// made only when Done asks for one; complete closes it if it exists.
 type Request struct {
 	mu        sync.Mutex
-	done      chan struct{}
+	cond      sync.Cond
 	completed bool
 	err       error
 	status    Status
+	done      chan struct{} // lazily made by Done; nil until then
 }
 
 func newRequest() *Request {
-	return &Request{done: make(chan struct{})}
+	r := &Request{}
+	r.cond.L = &r.mu
+	return r
 }
 
-// closedChan is shared by every already-completed request, so the eager
-// send path allocates one Request and nothing else.
+// closedChan is what Done returns for a request that has already
+// completed, so asking a finished request for its channel allocates
+// nothing.
 var closedChan = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
 	return c
 }()
 
-// completedRequest returns an already-finished request (eager sends).
+// completedRequest returns an already-finished request (eager sends and
+// operations rejected before they start).
 func completedRequest(st Status, err error) *Request {
-	return &Request{done: closedChan, completed: true, status: st, err: err}
+	r := newRequest()
+	r.completed, r.status, r.err = true, st, err
+	return r
 }
 
 func (r *Request) complete(st Status, err error) {
@@ -75,32 +86,70 @@ func (r *Request) complete(st Status, err error) {
 	r.completed = true
 	r.status = st
 	r.err = err
+	if r.done != nil {
+		close(r.done)
+	}
+	r.cond.Broadcast()
 	r.mu.Unlock()
-	close(r.done)
 }
 
 // Wait blocks until the operation completes and returns its status.
+//
+//gompilint:noalloc
 func (r *Request) Wait() (Status, error) {
-	<-r.done
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.status, r.err
+	for !r.completed {
+		r.cond.Wait()
+	}
+	st, err := r.status, r.err
+	r.mu.Unlock()
+	return st, err
 }
 
 // Test reports whether the operation has completed, without blocking.
 func (r *Request) Test() (bool, Status, error) {
-	select {
-	case <-r.done:
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return true, r.status, r.err
-	default:
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.completed {
 		return false, Status{}, nil
 	}
+	return true, r.status, r.err
 }
 
-// Done exposes the completion channel for select-based waiting.
-func (r *Request) Done() <-chan struct{} { return r.done }
+// Done exposes a completion channel for select-based waiting. The channel
+// is made on the first call before completion; a completed request returns
+// the shared closedChan.
+func (r *Request) Done() <-chan struct{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.completed {
+		return closedChan
+	}
+	if r.done == nil {
+		r.done = make(chan struct{})
+	}
+	return r.done
+}
+
+// reqPool recycles the requests of blocking calls (Recv, rendezvous Send,
+// Ssend), which never hand their request to the caller.
+var reqPool = sync.Pool{New: func() any { return newRequest() }}
+
+func getRequest() *Request { return reqPool.Get().(*Request) }
+
+// waitPooled waits on a request from getRequest and recycles it. Reuse is
+// safe because a request is completed by exactly one party, and only after
+// that party has taken the request's record out of the queue or pending map
+// that referenced it (posted queues under the channel lock, pendSend and
+// pendRecv under pendMu). Once Wait has returned, complete has released
+// r.mu and nothing else holds the request, so no late completion can reach
+// the next operation that draws it from the pool.
+func waitPooled(r *Request) (Status, error) {
+	st, err := r.Wait()
+	r.completed, r.status, r.err, r.done = false, Status{}, nil, nil
+	reqPool.Put(r)
+	return st, err
+}
 
 // WaitAll waits for every request and returns the first error encountered.
 func WaitAll(reqs ...*Request) error {

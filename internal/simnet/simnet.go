@@ -151,7 +151,7 @@ func (f *Fabric) Segment(node int) *Segment {
 		f.segments = make([]*Segment, f.cluster.Nodes)
 	}
 	if f.segments[node] == nil {
-		f.segments[node] = &Segment{boxes: make(map[int]DeliverFunc)}
+		f.segments[node] = &Segment{}
 	}
 	return f.segments[node]
 }
@@ -166,9 +166,14 @@ type DeliverFunc func(pkt []byte)
 // Processes on the node register a delivery function under their global
 // rank; node-local senders look the function up and hand packets off
 // directly, bypassing the fabric's latency/serialization model entirely.
+//
+// Lookup runs on every sm send, so it reads an immutable rank-indexed
+// snapshot through an atomic pointer and takes no lock. Register and
+// Deregister serialize on mu and publish a fresh copy, so a rank that
+// re-registers is seen by the very next Lookup.
 type Segment struct {
 	mu    sync.Mutex
-	boxes map[int]DeliverFunc
+	boxes atomic.Pointer[[]DeliverFunc] // indexed by global rank; nil = absent
 }
 
 // Register installs the delivery function for a rank. Registering a rank
@@ -177,10 +182,10 @@ type Segment struct {
 func (s *Segment) Register(rank int, deliver DeliverFunc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.boxes[rank]; dup {
+	if _, dup := s.Lookup(rank); dup {
 		panic(fmt.Sprintf("simnet: rank %d already registered in segment", rank))
 	}
-	s.boxes[rank] = deliver
+	s.publishLocked(rank, deliver)
 }
 
 // Deregister removes a rank's delivery function; senders observe the rank
@@ -188,17 +193,36 @@ func (s *Segment) Register(rank int, deliver DeliverFunc) {
 func (s *Segment) Deregister(rank int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.boxes, rank)
+	if _, ok := s.Lookup(rank); ok {
+		s.publishLocked(rank, nil)
+	}
+}
+
+// publishLocked replaces the snapshot with a copy whose slot rank holds fn.
+// Caller holds mu.
+func (s *Segment) publishLocked(rank int, fn DeliverFunc) {
+	var old []DeliverFunc
+	if p := s.boxes.Load(); p != nil {
+		old = *p
+	}
+	boxes := make([]DeliverFunc, max(len(old), rank+1))
+	copy(boxes, old)
+	boxes[rank] = fn
+	s.boxes.Store(&boxes)
 }
 
 // Lookup returns the rank's delivery function. The function is invoked
-// outside the segment lock, so an in-flight handoff may race with
+// outside any segment lock, so an in-flight handoff may race with
 // Deregister; receivers must tolerate delivery after their own close.
+//
+//gompilint:noalloc
 func (s *Segment) Lookup(rank int) (DeliverFunc, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn, ok := s.boxes[rank]
-	return fn, ok
+	if p := s.boxes.Load(); p != nil && rank >= 0 && rank < len(*p) {
+		if fn := (*p)[rank]; fn != nil {
+			return fn, true
+		}
+	}
+	return nil, false
 }
 
 func (f *Fabric) lookup(a Addr) *Endpoint {

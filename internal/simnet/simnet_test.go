@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -285,4 +286,47 @@ func TestSegmentOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	f.Segment(1)
+}
+
+// TestSegmentLookupRacesRegister runs lock-free Lookups against concurrent
+// Register/Deregister cycles of other ranks (run under -race): a rank that
+// stays registered throughout is always found, and every lookup of a
+// cycling rank returns either nothing or its current function.
+func TestSegmentLookupRacesRegister(t *testing.T) {
+	seg := NewFabric(topo.New(topo.Loopback(1), 1)).Segment(0)
+	var hits atomic.Int64
+	seg.Register(0, func([]byte) { hits.Add(1) })
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 1; r <= 2; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				seg.Register(rank+8*(i%3), func([]byte) {})
+				seg.Deregister(rank + 8*(i%3))
+			}
+		}(r)
+	}
+	for i := 0; i < 2000; i++ {
+		fn, ok := seg.Lookup(0)
+		if !ok {
+			t.Fatal("always-registered rank 0 not found")
+		}
+		fn(nil)
+		if fn, ok := seg.Lookup(1 + 8*(i%3)); ok {
+			fn(nil)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if hits.Load() != 2000 {
+		t.Fatalf("rank 0 delivered %d times, want 2000", hits.Load())
+	}
 }

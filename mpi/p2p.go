@@ -161,8 +161,7 @@ func (c *Comm) Sendrecv(sendBuf []byte, dest, sendTag int, recvBuf []byte, src, 
 		return Status{}, c.errh.invoke(err)
 	}
 	rreq := c.ch.Irecv(src, recvTag, recvBuf)
-	sreq := c.ch.Isend(dest, sendTag, sendBuf)
-	if _, err := sreq.Wait(); err != nil {
+	if err := c.ch.Send(dest, sendTag, sendBuf); err != nil {
 		return Status{}, c.errh.invoke(err)
 	}
 	st, err := rreq.Wait()
